@@ -21,8 +21,10 @@ build:
 test:
 	$(GO) test ./...
 
+# One pass: the race detector and a shuffled test order together flush
+# out both data races and inter-test state dependence.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -shuffle=on ./...
 
 bench: bench-ingest
 	$(GO) test -bench . -benchtime 1x -run '^$$' .

@@ -177,10 +177,10 @@ func BenchmarkReplicaRead(b *testing.B) {
 	for _, cfg := range []struct {
 		name string
 		rf   int
-		opts QueryOptions
+		pref ReadPreference
 	}{
-		{"rf1-leader", 1, QueryOptions{}},
-		{"rf2-replica", 2, QueryOptions{Read: ReadPreferReplica}},
+		{"rf1-leader", 1, ReadLeader},
+		{"rf2-replica", 2, ReadPreferReplica},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			cl, q, refill := benchReplicaCluster(b, cfg.rf)
@@ -191,7 +191,7 @@ func BenchmarkReplicaRead(b *testing.B) {
 					refill()
 					b.StartTimer()
 				}
-				if _, _, err := cl.QueryWithNoCtx(q, cfg.opts); err != nil {
+				if _, err := cl.QueryNoCtx(q, WithReadPref(cfg.pref)); err != nil {
 					b.Fatal(err)
 				}
 			}

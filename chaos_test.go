@@ -645,14 +645,14 @@ func TestReplicaReadPath(t *testing.T) {
 
 	sawReplica := false
 	for i := 0; i < 8; i++ {
-		agg, info, err := cl.QueryWithNoCtx(AllRect(c.Schema()), QueryOptions{Read: ReadPreferReplica})
+		res, err := cl.QueryNoCtx(AllRect(c.Schema()), WithReadPref(ReadPreferReplica))
 		if err != nil {
 			t.Fatalf("replica query %d: %v", i, err)
 		}
-		if agg.Count != leaderAgg.Count {
-			t.Fatalf("replica query %d count = %d, want %d", i, agg.Count, leaderAgg.Count)
+		if res.Agg.Count != leaderAgg.Count {
+			t.Fatalf("replica query %d count = %d, want %d", i, res.Agg.Count, leaderAgg.Count)
 		}
-		if len(info.ReplicaShards) > 0 {
+		if len(res.Info.ReplicaShards) > 0 {
 			sawReplica = true
 		}
 	}

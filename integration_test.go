@@ -155,12 +155,12 @@ func TestMultiProcessDeployment(t *testing.T) {
 		time.Sleep(100 * time.Millisecond)
 	}
 
-	groups, err := cl.GroupByNoCtx(volap.AllRect(schema), 0, 0)
+	res, err = cl.QueryNoCtx(volap.AllRect(schema), volap.WithGroupBy(0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var total uint64
-	for _, g := range groups {
+	for _, g := range res.Groups {
 		total += g.Agg.Count
 	}
 	if total != n {

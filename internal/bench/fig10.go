@@ -112,7 +112,7 @@ func Fig10(scale Scale, seed int64) (*Fig10Out, error) {
 	for ms := 0; ms <= 3200; ms += 100 {
 		sweepTimes = append(sweepTimes, time.Duration(ms)*time.Millisecond)
 	}
-	sweep, err := pbs.Sweep(params, sweepTimes, 20000, seed)
+	sweep, err := pbs.Sweep(params, sweepTimes, scale.N(20000), seed)
 	if err != nil {
 		return nil, err
 	}
@@ -126,7 +126,7 @@ func Fig10(scale Scale, seed int64) (*Fig10Out, error) {
 		p.Coverage = cov
 		out.PMiss[cov] = make(map[time.Duration]pbs.Result)
 		for _, e := range out.Elapsed {
-			r, err := pbs.Simulate(p, e, 40000, seed+int64(e))
+			r, err := pbs.Simulate(p, e, scale.N(40000), seed+int64(e))
 			if err != nil {
 				return nil, err
 			}

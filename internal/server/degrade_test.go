@@ -68,57 +68,85 @@ func TestWorkerDeletionMarksDown(t *testing.T) {
 	waitWorkerDown(t, s, "w1", false)
 }
 
+// readPath is one half of scatter, driven over the whole space: a plain
+// aggregate query, or a group-by whose groups are summed back into one
+// count. The degradation and retry tests run over both.
+type readPath struct {
+	name string
+	read func(s *Server, q keys.Rect) (count uint64, info QueryInfo, err error)
+}
+
+var readPaths = []readPath{
+	{"query", func(s *Server, q keys.Rect) (uint64, QueryInfo, error) {
+		agg, info, err := s.Query(context.Background(), q, QueryOptions{})
+		return agg.Count, info, err
+	}},
+	{"groupby", func(s *Server, q keys.Rect) (uint64, QueryInfo, error) {
+		groups, info, err := s.GroupBy(context.Background(), q, 0, 0, QueryOptions{})
+		var n uint64
+		for _, g := range groups {
+			n += g.Agg.Count
+		}
+		return n, info, err
+	}},
+}
+
 // TestQueryPartialOnDeadWorker checks graceful degradation: with one
-// worker dead, a spanning query returns the live shards' aggregate plus
+// worker dead, a spanning read returns the live shards' aggregate plus
 // an explicit report of what is missing — never a silently wrong total.
 func TestQueryPartialOnDeadWorker(t *testing.T) {
-	h := newHarness(t, 2, 1) // w0 owns shard 0, w1 owns shard 1
-	s := h.server("s0", time.Hour)
-	_, total := seedBothWorkers(t, h, s)
-	liveCount := h.workers[0].ShardCount(0)
+	for _, p := range readPaths {
+		t.Run(p.name, func(t *testing.T) {
+			h := newHarness(t, 2, 1) // w0 owns shard 0, w1 owns shard 1
+			s := h.server("s0", time.Hour)
+			_, total := seedBothWorkers(t, h, s)
+			liveCount := h.workers[0].ShardCount(0)
+			all := keys.AllRect(h.cfg.Schema)
 
-	agg, info, err := s.Query(context.Background(), keys.AllRect(h.cfg.Schema))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Partial() || agg.Count != total {
-		t.Fatalf("healthy query: count=%d partial=%v, want %d full", agg.Count, info.Partial(), total)
-	}
+			count, info, err := p.read(s, all)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.Partial() || count != total {
+				t.Fatalf("healthy read: count=%d partial=%v, want %d full", count, info.Partial(), total)
+			}
 
-	h.workers[1].Close()
-	if err := h.store.Delete(image.WorkerPath("w1"), coord.AnyVersion); err != nil {
-		t.Fatal(err)
-	}
-	waitWorkerDown(t, s, "w1", true)
+			h.workers[1].Close()
+			if err := h.store.Delete(image.WorkerPath("w1"), coord.AnyVersion); err != nil {
+				t.Fatal(err)
+			}
+			waitWorkerDown(t, s, "w1", true)
 
-	start := time.Now()
-	agg, info, err = s.Query(context.Background(), keys.AllRect(h.cfg.Schema))
-	if err != nil {
-		t.Fatalf("degraded query should return partial results, got %v", err)
-	}
-	if !info.Partial() {
-		t.Fatal("degraded query not marked partial")
-	}
-	if len(info.MissingShards) != 1 || info.MissingShards[0] != 1 {
-		t.Fatalf("missing shards = %v, want [1]", info.MissingShards)
-	}
-	if agg.Count != liveCount {
-		t.Fatalf("partial count = %d, want live worker's %d", agg.Count, liveCount)
-	}
-	// Down-shard exclusion must not burn the retry/timeout budget.
-	if took := time.Since(start); took > 2*time.Second {
-		t.Fatalf("degraded query took %v", took)
-	}
+			start := time.Now()
+			count, info, err = p.read(s, all)
+			if err != nil {
+				t.Fatalf("degraded read should return partial results, got %v", err)
+			}
+			if !info.Partial() {
+				t.Fatal("degraded read not marked partial")
+			}
+			if len(info.MissingShards) != 1 || info.MissingShards[0] != 1 {
+				t.Fatalf("missing shards = %v, want [1]", info.MissingShards)
+			}
+			if count != liveCount {
+				t.Fatalf("partial count = %d, want live worker's %d", count, liveCount)
+			}
+			// Down-shard exclusion must not burn the retry/timeout budget.
+			if took := time.Since(start); took > 2*time.Second {
+				t.Fatalf("degraded read took %v", took)
+			}
 
-	var b bytes.Buffer
-	if err := s.Metrics().WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{"server_partial_queries_total 1", "server_down_workers 1"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("metrics missing %q", want)
-		}
+			var b bytes.Buffer
+			if err := s.Metrics().WritePrometheus(&b); err != nil {
+				t.Fatal(err)
+			}
+			out := b.String()
+			for _, want := range []string{"server_partial_queries_total 1", "server_down_workers 1"} {
+				if !strings.Contains(out, want) {
+					t.Errorf("metrics missing %q", want)
+				}
+			}
+		})
 	}
 }
 
@@ -126,32 +154,37 @@ func TestQueryPartialOnDeadWorker(t *testing.T) {
 // registration reappears (worker was partitioned, not dead) and full
 // results resume.
 func TestQueryRecoversAfterReregistration(t *testing.T) {
-	h := newHarness(t, 2, 1)
-	s := h.server("s0", time.Hour)
-	_, total := seedBothWorkers(t, h, s)
+	for _, p := range readPaths {
+		t.Run(p.name, func(t *testing.T) {
+			h := newHarness(t, 2, 1)
+			s := h.server("s0", time.Hour)
+			_, total := seedBothWorkers(t, h, s)
+			all := keys.AllRect(h.cfg.Schema)
 
-	if err := h.store.Delete(image.WorkerPath("w1"), coord.AnyVersion); err != nil {
-		t.Fatal(err)
-	}
-	waitWorkerDown(t, s, "w1", true)
-	_, info, err := s.Query(context.Background(), keys.AllRect(h.cfg.Schema))
-	if err != nil || !info.Partial() {
-		t.Fatalf("query while deregistered: err=%v partial=%v, want partial", err, info.Partial())
-	}
+			if err := h.store.Delete(image.WorkerPath("w1"), coord.AnyVersion); err != nil {
+				t.Fatal(err)
+			}
+			waitWorkerDown(t, s, "w1", true)
+			_, info, err := p.read(s, all)
+			if err != nil || !info.Partial() {
+				t.Fatalf("read while deregistered: err=%v partial=%v, want partial", err, info.Partial())
+			}
 
-	// The worker never died — its registration comes back (in production
-	// the session keeper republishes it).
-	meta := &image.WorkerMeta{ID: "w1", Addr: h.workers[1].Addr(), UpdatedMs: time.Now().UnixMilli()}
-	if _, err := h.store.CreateOrSet(image.WorkerPath("w1"), meta.EncodeBytes()); err != nil {
-		t.Fatal(err)
-	}
-	waitWorkerDown(t, s, "w1", false)
-	agg, info, err := s.Query(context.Background(), keys.AllRect(h.cfg.Schema))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Partial() || agg.Count != total {
-		t.Fatalf("recovered query: count=%d partial=%v, want %d full", agg.Count, info.Partial(), total)
+			// The worker never died — its registration comes back (in
+			// production the session keeper republishes it).
+			meta := &image.WorkerMeta{ID: "w1", Addr: h.workers[1].Addr(), UpdatedMs: time.Now().UnixMilli()}
+			if _, err := h.store.CreateOrSet(image.WorkerPath("w1"), meta.EncodeBytes()); err != nil {
+				t.Fatal(err)
+			}
+			waitWorkerDown(t, s, "w1", false)
+			count, info, err := p.read(s, all)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.Partial() || count != total {
+				t.Fatalf("recovered read: count=%d partial=%v, want %d full", count, info.Partial(), total)
+			}
+		})
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/image"
 	"repro/internal/keys"
-	"repro/internal/wire"
 	"repro/internal/worker"
 )
 
@@ -58,11 +57,6 @@ type QueryOptions struct {
 	NoRollup bool
 }
 
-// QueryOpts is Query with an explicit read preference.
-func (s *Server) QueryOpts(ctx context.Context, q keys.Rect, opts QueryOptions) (core.Aggregate, QueryInfo, error) {
-	return s.query(ctx, q, opts)
-}
-
 // replicaCandidates returns the shard's candidate readers: live
 // followers first, then the live leader, so RF=N rotates reads over N
 // copies.
@@ -90,10 +84,14 @@ func (s *Server) replicaCandidates(id image.ShardID) []string {
 }
 
 // replicaPrePass tries to serve shard groups from replica copies in one
-// parallel round. Successful groups are merged into agg; the returned
-// slice holds the shards the leader loop must still cover. No retries
-// here by design (see the file comment).
+// parallel round (maxLag 0 means DefaultMaxReplicaLag). Successful
+// groups are merged into agg; the returned slice holds the shards the
+// leader rounds must still cover. No retries here by design (see the
+// file comment).
 func (s *Server) replicaPrePass(ctx context.Context, q keys.Rect, shards []image.ShardID, maxLag uint64, agg *core.Aggregate, info *QueryInfo, contacted map[string]struct{}) []image.ShardID {
+	if maxLag == 0 {
+		maxLag = DefaultMaxReplicaLag
+	}
 	rr := s.rrSeq.Add(1)
 	byWorker := make(map[string][]image.ShardID)
 	skipped := make([]image.ShardID, 0, len(shards))
@@ -105,50 +103,30 @@ func (s *Server) replicaPrePass(ctx context.Context, q keys.Rect, shards []image
 		}
 		pick := cands[int(rr%uint64(len(cands)))]
 		byWorker[pick] = append(byWorker[pick], id)
+		contacted[pick] = struct{}{}
 	}
 	if len(byWorker) == 0 {
 		return shards
 	}
-	for wid := range byWorker {
-		contacted[wid] = struct{}{}
-	}
-	type rpart struct {
-		ids []image.ShardID
-		rep worker.ReplicaQueryReply
-		err error
-	}
-	results := make(chan rpart, len(byWorker))
-	for wid, ids := range byWorker {
-		go func(wid string, ids []image.ShardID) {
-			c, err := s.workerClient(wid)
-			if err != nil {
-				results <- rpart{ids: ids, err: err}
-				return
-			}
-			resp, err := c.RequestCtx(ctx, "worker.queryreplica",
-				worker.EncodeReplicaQueryRequest(q, ids, maxLag))
-			if err != nil {
-				results <- rpart{ids: ids, err: err}
-				return
-			}
-			rep, err := worker.DecodeReplicaQueryReply(resp)
-			results <- rpart{ids: ids, rep: rep, err: err}
-		}(wid, ids)
-	}
 	served := make(map[image.ShardID]struct{})
-	for range byWorker {
-		p := <-results
-		if p.err != nil {
-			continue // its shards fall through to the leader loop
-		}
-		agg.Merge(p.rep.Agg)
-		for _, id := range p.rep.Served {
-			served[id] = struct{}{}
-		}
-		if p.rep.MaxLag > info.MaxReplicaLag {
-			info.MaxReplicaLag = p.rep.MaxLag
-		}
-	}
+	s.sendRound(ctx, "worker.queryreplica", byWorker,
+		func(ids []image.ShardID) []byte { return worker.EncodeReplicaQueryRequest(q, ids, maxLag) },
+		func(_ []image.ShardID, resp []byte, err error) {
+			var rep worker.ReplicaQueryReply
+			if err == nil {
+				rep, err = worker.DecodeReplicaQueryReply(resp)
+			}
+			if err != nil {
+				return // its shards fall through to the leader rounds
+			}
+			agg.Merge(rep.Agg)
+			for _, id := range rep.Served {
+				served[id] = struct{}{}
+			}
+			if rep.MaxLag > info.MaxReplicaLag {
+				info.MaxReplicaLag = rep.MaxLag
+			}
+		})
 	if len(served) == 0 {
 		return shards
 	}
@@ -169,20 +147,4 @@ func (s *Server) replicaPrePass(ctx context.Context, q keys.Rect, shards []image
 	s.replicaReads.Add(uint64(len(served)))
 	s.traceAdd(ctx, "query.replica", fmt.Sprintf("%d/%d shards from replicas", len(served), len(shards)))
 	return remaining
-}
-
-// EncodeQueryRequest builds the payload for server.query. A bare rect
-// (no trailing preference bytes) is still accepted by the handler and
-// means ReadLeader — the pre-replication client format.
-func EncodeQueryRequest(q keys.Rect, opts QueryOptions) []byte {
-	w := wire.NewWriter(64)
-	q.Encode(w)
-	if opts.Read != ReadLeader || opts.MaxReplicaLag != 0 || opts.NoRollup {
-		w.Uint8(uint8(opts.Read))
-		w.Uvarint(opts.MaxReplicaLag)
-	}
-	if opts.NoRollup {
-		w.Uint8(1)
-	}
-	return w.Bytes()
 }

@@ -65,15 +65,14 @@ func waitOwner(t *testing.T, s *Server, id image.ShardID, want string) {
 	t.Fatalf("shard %d never owned by %s in local image", id, want)
 }
 
-// TestQueryWedgedWorkerTimeout: acceptance (a) — a query against a
+// TestQueryWedgedWorkerTimeout: acceptance (a) — a read against a
 // worker that accepts the request but never replies returns ErrTimeout
 // within the configured deadline instead of hanging.
 func TestQueryWedgedWorkerTimeout(t *testing.T) {
 	h := newHarness(t, 1, 1)
 	block := make(chan struct{})
-	h.fakeWorkerAt("wedged", map[string]netmsg.Handler{
-		"worker.query": func(_ context.Context, p []byte) ([]byte, error) { <-block; return nil, nil },
-	})
+	wedged := func(_ context.Context, p []byte) ([]byte, error) { <-block; return nil, nil }
+	h.fakeWorkerAt("wedged", map[string]netmsg.Handler{"worker.query": wedged, "worker.groupby": wedged})
 	// Registered after fakeWorkerAt so it runs before the netmsg server's
 	// Close, which waits for in-flight handlers.
 	t.Cleanup(func() { close(block) })
@@ -90,14 +89,16 @@ func TestQueryWedgedWorkerTimeout(t *testing.T) {
 	}
 	setOwner(s, 0, "wedged")
 
-	start := time.Now()
-	_, _, err = s.Query(context.Background(), keys.AllRect(h.cfg.Schema))
-	elapsed := time.Since(start)
-	if !errors.Is(err, netmsg.ErrTimeout) {
-		t.Fatalf("err = %v, want ErrTimeout", err)
-	}
-	if elapsed > time.Second {
-		t.Fatalf("query took %v, deadline was 150ms", elapsed)
+	for _, p := range readPaths {
+		start := time.Now()
+		_, _, err = p.read(s, keys.AllRect(h.cfg.Schema))
+		elapsed := time.Since(start)
+		if !errors.Is(err, netmsg.ErrTimeout) {
+			t.Fatalf("%s: err = %v, want ErrTimeout", p.name, err)
+		}
+		if elapsed > time.Second {
+			t.Fatalf("%s took %v, deadline was 150ms", p.name, elapsed)
+		}
 	}
 }
 
@@ -143,16 +144,18 @@ func TestStaleImageInsertAfterMigration(t *testing.T) {
 		t.Fatal("insert succeeded without any forced image refresh")
 	}
 
-	// Re-stale every shard and check the query path heals the same way.
-	for id := image.ShardID(0); id < 4; id++ {
-		setOwner(s, id, "w0")
-	}
-	agg, _, err := s.Query(context.Background(), keys.AllRect(h.cfg.Schema))
-	if err != nil {
-		t.Fatalf("query through stale image: %v", err)
-	}
-	if agg.Count != n+1 {
-		t.Fatalf("count = %d, want %d", agg.Count, n+1)
+	// Re-stale every shard and check both read paths heal the same way.
+	for _, p := range readPaths {
+		for id := image.ShardID(0); id < 4; id++ {
+			setOwner(s, id, "w0")
+		}
+		count, _, err := p.read(s, keys.AllRect(h.cfg.Schema))
+		if err != nil {
+			t.Fatalf("%s through stale image: %v", p.name, err)
+		}
+		if count != n+1 {
+			t.Fatalf("%s count = %d, want %d", p.name, count, n+1)
+		}
 	}
 }
 
@@ -165,7 +168,7 @@ func TestStaleRouteRefreshOnMovedReply(t *testing.T) {
 		return nil, errors.New(worker.MovedPrefix + "elsewhere")
 	}
 	h.fakeWorkerAt("ghost", map[string]netmsg.Handler{
-		"worker.insert": moved, "worker.query": moved,
+		"worker.insert": moved, "worker.query": moved, "worker.groupby": moved,
 	})
 
 	s := h.server("s0", time.Hour)
@@ -179,13 +182,19 @@ func TestStaleRouteRefreshOnMovedReply(t *testing.T) {
 	if got := s.RetryStats(); got == 0 {
 		t.Fatal("no image refresh recorded")
 	}
-	setOwner(s, 0, "ghost")
-	agg, _, err := s.Query(context.Background(), keys.AllRect(h.cfg.Schema))
-	if err != nil {
-		t.Fatalf("query via moved reply: %v", err)
-	}
-	if agg.Count != 2 {
-		t.Fatalf("count = %d, want 2", agg.Count)
+	for _, p := range readPaths {
+		setOwner(s, 0, "ghost")
+		before := s.RetryStats()
+		count, _, err := p.read(s, keys.AllRect(h.cfg.Schema))
+		if err != nil {
+			t.Fatalf("%s via moved reply: %v", p.name, err)
+		}
+		if count != 2 {
+			t.Fatalf("%s count = %d, want 2", p.name, count)
+		}
+		if s.RetryStats() == before {
+			t.Fatalf("%s: no image refresh recorded", p.name)
+		}
 	}
 }
 
@@ -212,9 +221,11 @@ func TestRetryExhaustionUnavailable(t *testing.T) {
 	if strings.Contains(fmt.Sprint(err), worker.MovedPrefix) {
 		t.Fatalf("internal moved error leaked to caller: %v", err)
 	}
-	_, _, err = s.Query(context.Background(), keys.AllRect(h.cfg.Schema))
-	if !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("query err = %v, want ErrUnavailable", err)
+	for _, p := range readPaths {
+		_, _, err = p.read(s, keys.AllRect(h.cfg.Schema))
+		if !errors.Is(err, ErrUnavailable) {
+			t.Fatalf("%s err = %v, want ErrUnavailable", p.name, err)
+		}
 	}
 }
 

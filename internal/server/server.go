@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/coord"
 	"repro/internal/core"
-	"repro/internal/hierarchy"
 	"repro/internal/image"
 	"repro/internal/keys"
 	"repro/internal/metrics"
@@ -564,22 +563,13 @@ func (s *Server) sendShardGroup(ctx context.Context, id image.ShardID, items []c
 				return err
 			}
 		}
-		s.mu.RLock()
-		owner := s.owners[id]
-		s.mu.RUnlock()
-		if s.isWorkerDown(owner) {
-			// Fail fast instead of burning the retry budget on a worker
-			// the image already declared dead. One forced refresh covers
-			// the race where the shard just migrated off the corpse.
-			s.refreshShard(id)
-			s.mu.RLock()
-			owner = s.owners[id]
-			s.mu.RUnlock()
-			if s.isWorkerDown(owner) {
-				s.downErrs.Inc()
-				s.traceAdd(ctx, op+".down", fmt.Sprintf("shard %d worker %s", id, owner))
-				return fmt.Errorf("%w: shard %d (worker %s)", ErrWorkerDown, id, owner)
-			}
+		// Fail fast instead of burning the retry budget on a worker the
+		// image already declared dead.
+		owner, down := s.liveOwner(id, true)
+		if down {
+			s.downErrs.Inc()
+			s.traceAdd(ctx, op+".down", fmt.Sprintf("shard %d worker %s", id, owner))
+			return fmt.Errorf("%w: shard %d (worker %s)", ErrWorkerDown, id, owner)
 		}
 		c, err := s.workerClient(owner)
 		if err != nil {
@@ -654,26 +644,12 @@ func (qi QueryInfo) Source() string {
 }
 
 // Query scatter-gathers an aggregate query across the workers owning the
-// overlapping shards (§III-B) and merges the partial aggregates. Shard
-// groups that fail on a stale route or a dropped connection are re-sent
-// after an image refresh (bounded attempts, capped backoff); only
-// successful partials are merged, so a failed worker can never leak a
-// zero-value reply into the result.
-//
-// Degradation: shards owned by workers the image has declared dead are
-// skipped (one forced refresh covers a just-finished migration) and
-// reported in QueryInfo.MissingShards. If at least one shard
-// contributed, the partial aggregate is returned with a nil error; if
-// nothing could be reached the query fails with ErrUnavailable as
-// before — an empty "result" would be indistinguishable from real data.
-func (s *Server) Query(ctx context.Context, q keys.Rect) (core.Aggregate, QueryInfo, error) {
-	return s.query(ctx, q, QueryOptions{})
-}
-
-// query is the shared implementation behind Query and QueryOpts. Under
-// ReadPreferReplica a single replica pre-pass runs first (see
-// replica.go); the leader retry loop then covers whatever it left.
-func (s *Server) query(ctx context.Context, q keys.Rect, opts QueryOptions) (core.Aggregate, QueryInfo, error) {
+// overlapping shards (§III-B) and merges the partial aggregates; scatter
+// holds the retry and degradation policy. Under ReadPreferReplica a
+// single replica pre-pass runs first (see replica.go) and the leader
+// rounds cover whatever it left. A query that routes to no shard returns
+// the empty aggregate at once.
+func (s *Server) Query(ctx context.Context, q keys.Rect, opts QueryOptions) (core.Aggregate, QueryInfo, error) {
 	ctx, cancel := s.opCtx(ctx)
 	defer cancel()
 	defer s.instrument(ctx, "query")()
@@ -688,151 +664,25 @@ func (s *Server) query(ctx context.Context, q keys.Rect, opts QueryOptions) (cor
 		defIdx = s.pickRollup(q, -1, 0)
 	}
 	contacted := make(map[string]struct{})
-	missing := make(map[image.ShardID]struct{})
-	succeeded := 0
-	remaining := shards
 	if opts.Read == ReadPreferReplica {
-		maxLag := opts.MaxReplicaLag
-		if maxLag == 0 {
-			maxLag = DefaultMaxReplicaLag
-		}
-		remaining = s.replicaPrePass(ctx, q, shards, maxLag, &agg, &info, contacted)
-		succeeded += len(info.ReplicaShards)
+		shards = s.replicaPrePass(ctx, q, shards, opts.MaxReplicaLag, &agg, &info, contacted)
 	}
-	var lastErr error
-	delay := 5 * time.Millisecond
-	for attempt := 0; attempt <= s.maxRetries; attempt++ {
-		if attempt > 0 {
-			s.retries.Inc("worker.query")
-			s.traceAdd(ctx, "worker.query.retry", fmt.Sprintf("%d shards attempt %d", len(remaining), attempt))
-			for _, id := range remaining {
-				s.refreshShard(id)
+	err := s.scatter(ctx, "worker.query", shards, &info, contacted,
+		func(ids []image.ShardID) []byte { return worker.EncodeQueryRequestRollup(q, ids, defIdx) },
+		func(resp []byte) error {
+			rep, err := worker.DecodeQueryReply(resp)
+			if err != nil {
+				return err
 			}
-			var err error
-			if delay, err = retryBackoff(ctx, delay); err != nil {
-				info.WorkersContacted = len(contacted)
-				return core.NewAggregate(), info, err
-			}
-		}
-		// Shards owned by dead workers go straight to the missing set
-		// (after one refresh at first sight) instead of timing out.
-		live := make([]image.ShardID, 0, len(remaining))
-		for _, id := range remaining {
-			s.mu.RLock()
-			owner := s.owners[id]
-			s.mu.RUnlock()
-			if s.isWorkerDown(owner) {
-				if attempt == 0 {
-					s.refreshShard(id)
-					s.mu.RLock()
-					owner = s.owners[id]
-					s.mu.RUnlock()
-				}
-				if s.isWorkerDown(owner) {
-					missing[id] = struct{}{}
-					continue
-				}
-			}
-			live = append(live, id)
-		}
-		remaining = live
-		if len(remaining) == 0 {
-			break
-		}
-		byWorker := make(map[string][]image.ShardID)
-		s.mu.RLock()
-		for _, id := range remaining {
-			byWorker[s.owners[id]] = append(byWorker[s.owners[id]], id)
-		}
-		s.mu.RUnlock()
-		for w := range byWorker {
-			contacted[w] = struct{}{}
-		}
-
-		type partial struct {
-			ids []image.ShardID
-			rep worker.QueryReply
-			err error
-		}
-		results := make(chan partial, len(byWorker))
-		for workerID, ids := range byWorker {
-			go func(workerID string, ids []image.ShardID) {
-				c, err := s.workerClient(workerID)
-				if err != nil {
-					results <- partial{ids: ids, err: err}
-					return
-				}
-				resp, err := c.RequestCtx(ctx, "worker.query", worker.EncodeQueryRequestRollup(q, ids, defIdx))
-				if err != nil {
-					results <- partial{ids: ids, err: err}
-					return
-				}
-				rep, err := worker.DecodeQueryReply(resp)
-				results <- partial{ids: ids, rep: rep, err: err}
-			}(workerID, ids)
-		}
-		var failed []image.ShardID
-		var fatal error
-		for range byWorker {
-			p := <-results
-			if p.err != nil {
-				// Never merge an errored partial — its reply is garbage.
-				switch classifyWorkerErr(p.err) {
-				case classStale, classTransport:
-					lastErr = p.err
-					failed = append(failed, p.ids...)
-				default:
-					if fatal == nil {
-						fatal = ctxErr(p.err)
-					}
-				}
-				continue
-			}
-			agg.Merge(p.rep.Agg)
-			info.ShardsSearched += int(p.rep.ShardsSearched)
-			info.RollupShards += int(p.rep.RollupShards)
-			info.RollupCells += p.rep.RollupCells
-			succeeded += len(p.ids)
-		}
-		info.WorkersContacted = len(contacted)
-		if fatal != nil {
-			return core.NewAggregate(), info, fatal
-		}
-		if len(failed) == 0 {
-			remaining = nil
-			break
-		}
-		remaining = failed
+			agg.Merge(rep.Agg)
+			info.ShardsSearched += int(rep.ShardsSearched)
+			info.RollupShards += int(rep.RollupShards)
+			info.RollupCells += rep.RollupCells
+			return nil
+		})
+	if err != nil {
+		return core.NewAggregate(), info, err
 	}
-	info.WorkersContacted = len(contacted)
-	if info.RollupShards > 0 {
-		s.rollupRouted.Inc()
-	}
-	// Shards still unreachable after the retry budget join the dead
-	// workers' shards in the missing set.
-	for _, id := range remaining {
-		missing[id] = struct{}{}
-	}
-	if len(missing) == 0 {
-		return agg, info, nil
-	}
-	if succeeded == 0 {
-		// Nothing answered: an empty aggregate would be garbage, so this
-		// stays a hard failure.
-		s.unavail.Inc()
-		if lastErr == nil {
-			lastErr = ErrWorkerDown
-		}
-		return core.NewAggregate(), info, fmt.Errorf("%w: %d shards unreachable: %v",
-			ErrUnavailable, len(missing), lastErr)
-	}
-	info.MissingShards = make([]image.ShardID, 0, len(missing))
-	for id := range missing {
-		info.MissingShards = append(info.MissingShards, id)
-	}
-	sort.Slice(info.MissingShards, func(i, j int) bool { return info.MissingShards[i] < info.MissingShards[j] })
-	s.partials.Inc()
-	s.traceAdd(ctx, "query.partial", fmt.Sprintf("%d/%d shards missing", len(missing), len(shards)))
 	return agg, info, nil
 }
 
@@ -862,21 +712,14 @@ func (s *Server) pickRollup(q keys.Rect, groupDim, groupDepth int) int {
 // level within the base region: the OLAP roll-up/drill-down primitive.
 // Level l must be a valid level index of the dimension (0-based); the
 // base rectangle's interval in that dimension must cover the grouped
-// values' parent region (typically the All interval).
-func (s *Server) GroupBy(ctx context.Context, base keys.Rect, dim, level int) ([]GroupResult, error) {
-	out, _, err := s.GroupByOpts(ctx, base, dim, level, QueryOptions{})
-	return out, err
-}
-
-// GroupByOpts is GroupBy with query options and a work report. One
-// worker.groupby RPC per owning worker folds all its shards' groups —
-// from a covering rollup table where the configuration has one,
-// otherwise from the trees — instead of one full query per level value.
-// Read preference is ignored: group-by always reads leader copies.
-// Degradation matches Query: shards that stay unreachable are reported
-// in QueryInfo.MissingShards, and the call fails only when nothing
-// answered.
-func (s *Server) GroupByOpts(ctx context.Context, base keys.Rect, dim, level int, opts QueryOptions) ([]GroupResult, QueryInfo, error) {
+// values' parent region (typically the All interval). The result holds
+// every level value inside the base interval, empty ones included.
+//
+// One worker.groupby RPC per owning worker folds all its shards' groups
+// — from a covering rollup table where the configuration has one,
+// otherwise from the trees. Read preference is ignored: group-by always
+// reads leader copies. Retries and degradation are Query's (see scatter).
+func (s *Server) GroupBy(ctx context.Context, base keys.Rect, dim, level int, opts QueryOptions) ([]GroupResult, QueryInfo, error) {
 	ctx, cancel := s.opCtx(ctx)
 	defer cancel()
 	defer s.instrument(ctx, "groupby")()
@@ -894,98 +737,14 @@ func (s *Server) GroupByOpts(ctx context.Context, base keys.Rect, dim, level int
 	shards := s.idx.RouteQuery(base)
 	info := QueryInfo{ShardsConsidered: len(shards)}
 	groups := make(map[uint64]core.Aggregate)
-	contacted := make(map[string]struct{})
-	missing := make(map[image.ShardID]struct{})
-	succeeded := 0
-	remaining := shards
-	var lastErr error
-	delay := 5 * time.Millisecond
-	for attempt := 0; attempt <= s.maxRetries && len(remaining) > 0; attempt++ {
-		if attempt > 0 {
-			s.retries.Inc("worker.groupby")
-			s.traceAdd(ctx, "worker.groupby.retry", fmt.Sprintf("%d shards attempt %d", len(remaining), attempt))
-			for _, id := range remaining {
-				s.refreshShard(id)
+	err := s.scatter(ctx, "worker.groupby", shards, &info, make(map[string]struct{}),
+		func(ids []image.ShardID) []byte { return worker.EncodeGroupByRequest(base, dim, level, ids, defIdx) },
+		func(resp []byte) error {
+			rep, err := worker.DecodeGroupByReply(resp)
+			if err != nil {
+				return err
 			}
-			var err error
-			if delay, err = retryBackoff(ctx, delay); err != nil {
-				info.WorkersContacted = len(contacted)
-				return nil, info, err
-			}
-		}
-		live := make([]image.ShardID, 0, len(remaining))
-		for _, id := range remaining {
-			s.mu.RLock()
-			owner := s.owners[id]
-			s.mu.RUnlock()
-			if s.isWorkerDown(owner) {
-				if attempt == 0 {
-					s.refreshShard(id)
-					s.mu.RLock()
-					owner = s.owners[id]
-					s.mu.RUnlock()
-				}
-				if s.isWorkerDown(owner) {
-					missing[id] = struct{}{}
-					continue
-				}
-			}
-			live = append(live, id)
-		}
-		remaining = live
-		if len(remaining) == 0 {
-			break
-		}
-		byWorker := make(map[string][]image.ShardID)
-		s.mu.RLock()
-		for _, id := range remaining {
-			byWorker[s.owners[id]] = append(byWorker[s.owners[id]], id)
-		}
-		s.mu.RUnlock()
-		for w := range byWorker {
-			contacted[w] = struct{}{}
-		}
-
-		type partial struct {
-			ids []image.ShardID
-			rep worker.GroupByReply
-			err error
-		}
-		results := make(chan partial, len(byWorker))
-		for workerID, ids := range byWorker {
-			go func(workerID string, ids []image.ShardID) {
-				c, err := s.workerClient(workerID)
-				if err != nil {
-					results <- partial{ids: ids, err: err}
-					return
-				}
-				resp, err := c.RequestCtx(ctx, "worker.groupby",
-					worker.EncodeGroupByRequest(base, dim, level, ids, defIdx))
-				if err != nil {
-					results <- partial{ids: ids, err: err}
-					return
-				}
-				rep, err := worker.DecodeGroupByReply(resp)
-				results <- partial{ids: ids, rep: rep, err: err}
-			}(workerID, ids)
-		}
-		var failed []image.ShardID
-		var fatal error
-		for range byWorker {
-			p := <-results
-			if p.err != nil {
-				switch classifyWorkerErr(p.err) {
-				case classStale, classTransport:
-					lastErr = p.err
-					failed = append(failed, p.ids...)
-				default:
-					if fatal == nil {
-						fatal = ctxErr(p.err)
-					}
-				}
-				continue
-			}
-			for v, agg := range p.rep.Groups {
+			for v, agg := range rep.Groups {
 				cur, ok := groups[v]
 				if !ok {
 					cur = core.NewAggregate()
@@ -993,39 +752,13 @@ func (s *Server) GroupByOpts(ctx context.Context, base keys.Rect, dim, level int
 				cur.Merge(agg)
 				groups[v] = cur
 			}
-			info.ShardsSearched += int(p.rep.ShardsSearched)
-			info.RollupShards += int(p.rep.RollupShards)
-			info.RollupCells += p.rep.RollupCells
-			succeeded += len(p.ids)
-		}
-		info.WorkersContacted = len(contacted)
-		if fatal != nil {
-			return nil, info, fatal
-		}
-		remaining = failed
-	}
-	info.WorkersContacted = len(contacted)
-	if info.RollupShards > 0 {
-		s.rollupRouted.Inc()
-	}
-	for _, id := range remaining {
-		missing[id] = struct{}{}
-	}
-	if len(missing) > 0 {
-		if succeeded == 0 && len(shards) > 0 {
-			s.unavail.Inc()
-			if lastErr == nil {
-				lastErr = ErrWorkerDown
-			}
-			return nil, info, fmt.Errorf("%w: %d shards unreachable: %v",
-				ErrUnavailable, len(missing), lastErr)
-		}
-		info.MissingShards = make([]image.ShardID, 0, len(missing))
-		for id := range missing {
-			info.MissingShards = append(info.MissingShards, id)
-		}
-		sort.Slice(info.MissingShards, func(i, j int) bool { return info.MissingShards[i] < info.MissingShards[j] })
-		s.partials.Inc()
+			info.ShardsSearched += int(rep.ShardsSearched)
+			info.RollupShards += int(rep.RollupShards)
+			info.RollupCells += rep.RollupCells
+			return nil
+		})
+	if err != nil {
+		return nil, info, err
 	}
 	// Workers return sparse groups; materialize every level value inside
 	// the base interval, empty aggregates included, matching the
@@ -1051,8 +784,157 @@ type GroupResult struct {
 	Agg   core.Aggregate
 }
 
-func hierarchyInterval(lo, hi uint64) hierarchy.Interval {
-	return hierarchy.Interval{Lo: lo, Hi: hi}
+// scatter is the leader half of every read (§III-B, §III-E): it sends op
+// to the owners of shards, one request per worker built by encode, and
+// folds each successful reply with merge. merge runs on the caller's
+// goroutine, one reply at a time; an error from it (an undecodable
+// reply) fails that worker's shards like a dropped connection. Policy:
+//
+//   - shards owned by workers the image has declared dead are not sent
+//     (one forced refresh at first sight covers a just-finished
+//     migration) and go straight to the missing set;
+//   - shards whose worker failed on a stale route or a transport error
+//     are re-sent after an image refresh and capped backoff, up to
+//     MaxRetries times; any other failure (deadline, handler error) ends
+//     the read with that error;
+//   - shards still unreached afterwards are missing too: the read is a
+//     partial answer listed in info.MissingShards, or ErrUnavailable
+//     when nothing answered — an empty result would be indistinguishable
+//     from real data.
+//
+// contacted holds the workers a replica pre-pass already reached, and
+// info.ReplicaShards the shards it served.
+func (s *Server) scatter(ctx context.Context, op string, shards []image.ShardID, info *QueryInfo,
+	contacted map[string]struct{}, encode func([]image.ShardID) []byte, merge func(resp []byte) error) error {
+	missing := make(map[image.ShardID]struct{})
+	served := len(info.ReplicaShards)
+	remaining := shards
+	var lastErr error
+	delay := 5 * time.Millisecond
+	for attempt := 0; attempt <= s.maxRetries && len(remaining) > 0; attempt++ {
+		if attempt > 0 {
+			s.retries.Inc(op)
+			s.traceAdd(ctx, op+".retry", fmt.Sprintf("%d shards attempt %d", len(remaining), attempt))
+			for _, id := range remaining {
+				s.refreshShard(id)
+			}
+			var err error
+			if delay, err = retryBackoff(ctx, delay); err != nil {
+				info.WorkersContacted = len(contacted)
+				return err
+			}
+		}
+		byWorker := make(map[string][]image.ShardID)
+		for _, id := range remaining {
+			owner, down := s.liveOwner(id, attempt == 0)
+			if down {
+				missing[id] = struct{}{}
+				continue
+			}
+			byWorker[owner] = append(byWorker[owner], id)
+			contacted[owner] = struct{}{}
+		}
+		var failed []image.ShardID
+		var fatal error
+		s.sendRound(ctx, op, byWorker, encode, func(ids []image.ShardID, resp []byte, err error) {
+			if err == nil {
+				err = merge(resp)
+			}
+			if err == nil {
+				served += len(ids)
+				return
+			}
+			// Never merge an errored partial — its reply is garbage.
+			switch classifyWorkerErr(err) {
+			case classStale, classTransport:
+				lastErr = err
+				failed = append(failed, ids...)
+			default:
+				if fatal == nil {
+					fatal = ctxErr(err)
+				}
+			}
+		})
+		info.WorkersContacted = len(contacted)
+		if fatal != nil {
+			return fatal
+		}
+		remaining = failed
+	}
+	info.WorkersContacted = len(contacted)
+	if info.RollupShards > 0 {
+		s.rollupRouted.Inc()
+	}
+	for _, id := range remaining {
+		missing[id] = struct{}{}
+	}
+	if len(missing) == 0 {
+		return nil
+	}
+	if served == 0 {
+		s.unavail.Inc()
+		if lastErr == nil {
+			lastErr = ErrWorkerDown
+		}
+		return fmt.Errorf("%w: %d shards unreachable: %v", ErrUnavailable, len(missing), lastErr)
+	}
+	info.MissingShards = make([]image.ShardID, 0, len(missing))
+	for id := range missing {
+		info.MissingShards = append(info.MissingShards, id)
+	}
+	sort.Slice(info.MissingShards, func(i, j int) bool { return info.MissingShards[i] < info.MissingShards[j] })
+	s.partials.Inc()
+	s.traceAdd(ctx, op+".partial", fmt.Sprintf("%d/%d shards missing", len(missing), info.ShardsConsidered))
+	return nil
+}
+
+// sendRound sends op to every worker of byWorker in parallel, with the
+// payload encode builds from its shard group, and hands each reply (or
+// failure) to gather on the calling goroutine as it arrives.
+func (s *Server) sendRound(ctx context.Context, op string, byWorker map[string][]image.ShardID,
+	encode func([]image.ShardID) []byte, gather func(ids []image.ShardID, resp []byte, err error)) {
+	type reply struct {
+		ids  []image.ShardID
+		resp []byte
+		err  error
+	}
+	replies := make(chan reply, len(byWorker))
+	for workerID, ids := range byWorker {
+		payload := encode(ids)
+		go func() {
+			c, err := s.workerClient(workerID)
+			if err != nil {
+				replies <- reply{ids: ids, err: err}
+				return
+			}
+			resp, err := c.RequestCtx(ctx, op, payload)
+			replies <- reply{ids: ids, resp: resp, err: err}
+		}()
+	}
+	for range byWorker {
+		r := <-replies
+		gather(r.ids, r.resp, r.err)
+	}
+}
+
+// liveOwner returns the shard's owner and whether the image has declared
+// that worker dead. With recheck, a dead owner first triggers one forced
+// refresh, covering the race where the shard just migrated off the
+// corpse.
+func (s *Server) liveOwner(id image.ShardID, recheck bool) (owner string, down bool) {
+	s.mu.RLock()
+	owner = s.owners[id]
+	s.mu.RUnlock()
+	if !s.isWorkerDown(owner) {
+		return owner, false
+	}
+	if recheck {
+		s.refreshShard(id)
+		s.mu.RLock()
+		owner = s.owners[id]
+		s.mu.RUnlock()
+	}
+	return owner, s.isWorkerDown(owner)
 }
 
 // syncLoop pushes local bounding-box expansions and shard sizes to the
@@ -1204,7 +1086,7 @@ func DecodeHello(b []byte) (Hello, error) {
 }
 
 func (s *Server) handleInsert(ctx context.Context, p []byte) ([]byte, error) {
-	items, err := decodeItems(p, s.cfg.Schema.NumDims())
+	items, err := worker.DecodeItems(wire.NewReader(p), s.cfg.Schema.NumDims())
 	if err != nil {
 		return nil, err
 	}
@@ -1212,7 +1094,7 @@ func (s *Server) handleInsert(ctx context.Context, p []byte) ([]byte, error) {
 }
 
 func (s *Server) handleBulkLoad(ctx context.Context, p []byte) ([]byte, error) {
-	items, err := decodeItems(p, s.cfg.Schema.NumDims())
+	items, err := worker.DecodeItems(wire.NewReader(p), s.cfg.Schema.NumDims())
 	if err != nil {
 		return nil, err
 	}
@@ -1220,30 +1102,11 @@ func (s *Server) handleBulkLoad(ctx context.Context, p []byte) ([]byte, error) {
 }
 
 func (s *Server) handleQuery(ctx context.Context, p []byte) ([]byte, error) {
-	r := wire.NewReader(p)
-	q, err := keys.DecodeRect(r)
+	q, opts, err := decodeQueryRequest(p, s.cfg.Schema.NumDims())
 	if err != nil {
 		return nil, err
 	}
-	// A bare rect is the pre-replication request format and means
-	// ReadLeader; newer clients append a preference byte + lag bound.
-	var opts QueryOptions
-	if r.Remaining() > 0 {
-		opts.Read = ReadPreference(r.Uint8())
-		opts.MaxReplicaLag = r.Uvarint()
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-	}
-	// NoRollup is a further trailing extension on top of the replica
-	// preference fields.
-	if r.Remaining() > 0 {
-		opts.NoRollup = r.Uint8() != 0
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-	}
-	agg, info, err := s.query(ctx, q, opts)
+	agg, info, err := s.Query(ctx, q, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -1251,6 +1114,101 @@ func (s *Server) handleQuery(ctx context.Context, p []byte) ([]byte, error) {
 	agg.Encode(w)
 	encodeQueryInfo(w, info)
 	return w.Bytes(), nil
+}
+
+func (s *Server) handleGroupBy(ctx context.Context, p []byte) ([]byte, error) {
+	q, dim, level, opts, err := decodeGroupByRequest(p, s.cfg.Schema.NumDims())
+	if err != nil {
+		return nil, err
+	}
+	groups, info, err := s.GroupBy(ctx, q, dim, level, opts)
+	if err != nil {
+		return nil, err
+	}
+	w := wire.NewWriter(48 + len(groups)*40)
+	w.Uvarint(uint64(len(groups)))
+	for _, g := range groups {
+		w.Uvarint(g.Value)
+		g.Agg.Encode(w)
+	}
+	encodeQueryInfo(w, info)
+	return w.Bytes(), nil
+}
+
+// encodeReadOpts appends the read-options trailer server.query and
+// server.groupby share. Its fields are optional trailing extensions: a
+// request that ends before them means ReadLeader with rollups allowed
+// (the pre-replication format), so they are written only when they
+// differ from that, and NoRollup only when set.
+func encodeReadOpts(w *wire.Writer, opts QueryOptions) {
+	if opts.Read != ReadLeader || opts.MaxReplicaLag != 0 || opts.NoRollup {
+		w.Uint8(uint8(opts.Read))
+		w.Uvarint(opts.MaxReplicaLag)
+	}
+	if opts.NoRollup {
+		w.Uint8(1)
+	}
+}
+
+// decodeReadOpts reads a trailer written by encodeReadOpts.
+func decodeReadOpts(r *wire.Reader) (QueryOptions, error) {
+	var opts QueryOptions
+	if r.Remaining() > 0 {
+		opts.Read = ReadPreference(r.Uint8())
+		opts.MaxReplicaLag = r.Uvarint()
+	}
+	if r.Err() == nil && r.Remaining() > 0 {
+		opts.NoRollup = r.Uint8() != 0
+	}
+	return opts, r.Err()
+}
+
+// EncodeQueryRequest builds the payload for server.query.
+func EncodeQueryRequest(q keys.Rect, opts QueryOptions) []byte {
+	w := wire.NewWriter(64)
+	q.Encode(w)
+	encodeReadOpts(w, opts)
+	return w.Bytes()
+}
+
+// decodeQueryRequest parses a server.query payload for a
+// dims-dimensional schema.
+func decodeQueryRequest(p []byte, dims int) (keys.Rect, QueryOptions, error) {
+	r := wire.NewReader(p)
+	q, err := worker.DecodeRect(r, dims)
+	if err != nil {
+		return keys.Rect{}, QueryOptions{}, err
+	}
+	opts, err := decodeReadOpts(r)
+	return q, opts, err
+}
+
+// EncodeGroupByRequest builds the payload for server.groupby.
+func EncodeGroupByRequest(q keys.Rect, dim, level int) []byte {
+	return EncodeGroupByRequestOpts(q, dim, level, QueryOptions{})
+}
+
+// EncodeGroupByRequestOpts is EncodeGroupByRequest with query options.
+func EncodeGroupByRequestOpts(q keys.Rect, dim, level int, opts QueryOptions) []byte {
+	w := wire.NewWriter(64)
+	q.Encode(w)
+	w.Uvarint(uint64(dim))
+	w.Uvarint(uint64(level))
+	encodeReadOpts(w, opts)
+	return w.Bytes()
+}
+
+// decodeGroupByRequest parses a server.groupby payload for a
+// dims-dimensional schema.
+func decodeGroupByRequest(p []byte, dims int) (q keys.Rect, dim, level int, opts QueryOptions, err error) {
+	r := wire.NewReader(p)
+	if q, err = worker.DecodeRect(r, dims); err != nil {
+		return keys.Rect{}, 0, 0, QueryOptions{}, err
+	}
+	dim = int(r.Uvarint())
+	level = int(r.Uvarint())
+	opts, err = decodeReadOpts(r)
+	return q, dim, level, opts, err
 }
 
 // encodeQueryInfo appends a QueryInfo to a reply. Fields are strictly
@@ -1300,68 +1258,6 @@ func decodeQueryInfo(r *wire.Reader) QueryInfo {
 		info.RollupCells = r.Uvarint()
 	}
 	return info
-}
-
-func (s *Server) handleGroupBy(ctx context.Context, p []byte) ([]byte, error) {
-	r := wire.NewReader(p)
-	q, err := keys.DecodeRect(r)
-	if err != nil {
-		return nil, err
-	}
-	dim := int(r.Uvarint())
-	level := int(r.Uvarint())
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	// Optional trailing options (same extension shape as server.query).
-	var opts QueryOptions
-	if r.Remaining() > 0 {
-		opts.Read = ReadPreference(r.Uint8())
-		opts.MaxReplicaLag = r.Uvarint()
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-	}
-	if r.Remaining() > 0 {
-		opts.NoRollup = r.Uint8() != 0
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-	}
-	groups, info, err := s.GroupByOpts(ctx, q, dim, level, opts)
-	if err != nil {
-		return nil, err
-	}
-	w := wire.NewWriter(48 + len(groups)*40)
-	w.Uvarint(uint64(len(groups)))
-	for _, g := range groups {
-		w.Uvarint(g.Value)
-		g.Agg.Encode(w)
-	}
-	encodeQueryInfo(w, info)
-	return w.Bytes(), nil
-}
-
-// EncodeGroupByRequest builds the payload for server.groupby.
-func EncodeGroupByRequest(q keys.Rect, dim, level int) []byte {
-	return EncodeGroupByRequestOpts(q, dim, level, QueryOptions{})
-}
-
-// EncodeGroupByRequestOpts is EncodeGroupByRequest with query options,
-// appended as optional trailing fields like server.query's.
-func EncodeGroupByRequestOpts(q keys.Rect, dim, level int, opts QueryOptions) []byte {
-	w := wire.NewWriter(64)
-	q.Encode(w)
-	w.Uvarint(uint64(dim))
-	w.Uvarint(uint64(level))
-	if opts.Read != ReadLeader || opts.MaxReplicaLag != 0 || opts.NoRollup {
-		w.Uint8(uint8(opts.Read))
-		w.Uvarint(opts.MaxReplicaLag)
-	}
-	if opts.NoRollup {
-		w.Uint8(1)
-	}
-	return w.Bytes()
 }
 
 // DecodeGroupByResponse parses a server.groupby reply. The QueryInfo is
@@ -1578,38 +1474,10 @@ func DecodeClusterStats(b []byte) (*ClusterStats, error) {
 	return cs, nil
 }
 
-// decodeItems parses a bare item batch (no shard prefix).
-func decodeItems(p []byte, dims int) ([]core.Item, error) {
-	r := wire.NewReader(p)
-	n := r.Uvarint()
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	items := make([]core.Item, 0, n)
-	for i := uint64(0); i < n; i++ {
-		coords := make([]uint64, dims)
-		for d := range coords {
-			coords[d] = r.Uvarint()
-		}
-		m := r.Float64()
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-		items = append(items, core.Item{Coords: coords, Measure: m})
-	}
-	return items, nil
-}
-
 // EncodeItems builds the payload for server.insert / server.bulkload.
 func EncodeItems(dims int, items []core.Item) []byte {
 	w := wire.NewWriter(8 + len(items)*(dims*4+8))
-	w.Uvarint(uint64(len(items)))
-	for _, it := range items {
-		for _, c := range it.Coords {
-			w.Uvarint(c)
-		}
-		w.Float64(it.Measure)
-	}
+	worker.EncodeItems(w, dims, items)
 	return w.Bytes()
 }
 

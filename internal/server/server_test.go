@@ -119,7 +119,7 @@ func TestInsertAndQueryDirect(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	agg, info, err := s.Query(context.Background(), keys.AllRect(h.cfg.Schema))
+	agg, info, err := s.Query(context.Background(), keys.AllRect(h.cfg.Schema), QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestInsertAndQueryDirect(t *testing.T) {
 	}
 	// Partial query against brute force.
 	q := keys.NewRect(hierarchy.Interval{Lo: 0, Hi: 49}, hierarchy.Interval{Lo: 0, Hi: 19})
-	agg, _, err = s.Query(context.Background(), q)
+	agg, _, err = s.Query(context.Background(), q, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestSyncPropagation(t *testing.T) {
 		}
 	}
 	// Before sync, b's image has empty boxes: queries find nothing.
-	agg, _, err := b.Query(context.Background(), keys.AllRect(h.cfg.Schema))
+	agg, _, err := b.Query(context.Background(), keys.AllRect(h.cfg.Schema), QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestSyncPropagation(t *testing.T) {
 	a.SyncNow()
 	deadline := time.Now().Add(3 * time.Second)
 	for {
-		agg, _, err := b.Query(context.Background(), keys.AllRect(h.cfg.Schema))
+		agg, _, err := b.Query(context.Background(), keys.AllRect(h.cfg.Schema), QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,6 +314,42 @@ func TestRPCSurface(t *testing.T) {
 	}
 }
 
+// TestHostileRequests: payloads no client encoder produces — an item
+// count claiming 2^62 items in a few bytes, a rectangle with fewer
+// dimensions than the schema — are rejected with an error. Handlers run
+// without recover, so a panic here used to take the whole server down.
+func TestHostileRequests(t *testing.T) {
+	h := newHarness(t, 1, 1)
+	s := h.server("s0", time.Hour)
+	if err := s.Insert(context.Background(), core.Item{Coords: []uint64{5, 5}, Measure: 1}); err != nil {
+		t.Fatal(err)
+	}
+	count := wire.NewWriter(16)
+	count.Uvarint(1 << 62)
+	oneDim := keys.NewRect(hierarchy.Interval{Lo: 0, Hi: 99})
+	for _, tc := range []struct {
+		name    string
+		handle  netmsg.Handler
+		payload []byte
+	}{
+		{"server.insert count", s.handleInsert, count.Bytes()},
+		{"server.bulkload count", s.handleBulkLoad, count.Bytes()},
+		{"server.query rect", s.handleQuery, EncodeQueryRequest(oneDim, QueryOptions{})},
+		{"server.groupby rect", s.handleGroupBy, EncodeGroupByRequest(oneDim, 1, 0)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panicked: %v", r)
+				}
+			}()
+			if _, err := tc.handle(context.Background(), tc.payload); err == nil {
+				t.Fatalf("accepted a %d-byte hostile payload", len(tc.payload))
+			}
+		})
+	}
+}
+
 func newTestRectPayload(q keys.Rect) []byte {
 	w := wire.NewWriter(64)
 	q.Encode(w)
@@ -336,7 +372,7 @@ func TestWorkerFailure(t *testing.T) {
 	// Queries that need the dead worker fail with an error.
 	failed := false
 	for i := 0; i < 20; i++ {
-		if _, _, err := s.Query(context.Background(), keys.AllRect(h.cfg.Schema)); err != nil {
+		if _, _, err := s.Query(context.Background(), keys.AllRect(h.cfg.Schema), QueryOptions{}); err != nil {
 			failed = true
 			break
 		}
@@ -368,7 +404,7 @@ func TestGroupByDirect(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	groups, err := s.GroupBy(context.Background(), keys.AllRect(h.cfg.Schema), 0, 0)
+	groups, _, err := s.GroupBy(context.Background(), keys.AllRect(h.cfg.Schema), 0, 0, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,17 +419,17 @@ func TestGroupByDirect(t *testing.T) {
 	// Restricted base region clips groups.
 	base := keys.AllRect(h.cfg.Schema)
 	base.Ivs[0] = hierarchy.Interval{Lo: 25, Hi: 74} // values 2..7 (clipped)
-	groups, err = s.GroupBy(context.Background(), base, 0, 0)
+	groups, _, err = s.GroupBy(context.Background(), base, 0, 0, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(groups) != 6 {
 		t.Fatalf("clipped groups = %d", len(groups))
 	}
-	if _, err := s.GroupBy(context.Background(), base, -1, 0); err == nil {
+	if _, _, err := s.GroupBy(context.Background(), base, -1, 0, QueryOptions{}); err == nil {
 		t.Error("negative dim should fail")
 	}
-	if _, err := s.GroupBy(context.Background(), base, 0, 5); err == nil {
+	if _, _, err := s.GroupBy(context.Background(), base, 0, 5, QueryOptions{}); err == nil {
 		t.Error("deep level should fail")
 	}
 }
@@ -427,7 +463,7 @@ func TestManagerDrivenSplitVisibleToServer(t *testing.T) {
 	// The query still returns everything once the image converges.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		agg, _, err := s.Query(context.Background(), keys.AllRect(h.cfg.Schema))
+		agg, _, err := s.Query(context.Background(), keys.AllRect(h.cfg.Schema), QueryOptions{})
 		if err == nil && agg.Count == 2000 {
 			break
 		}

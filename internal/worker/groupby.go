@@ -29,12 +29,24 @@ func EncodeGroupByRequest(base keys.Rect, dim, level int, shards []image.ShardID
 	base.Encode(w)
 	w.Uvarint(uint64(dim))
 	w.Uvarint(uint64(level))
-	w.Uvarint(uint64(len(shards)))
-	for _, id := range shards {
-		w.Uvarint(uint64(id))
-	}
+	encodeShardIDs(w, shards)
 	w.Uvarint(uint64(defIdx + 1)) // 0 = none
 	return w.Bytes()
+}
+
+// decodeGroupByRequest parses a worker.groupby payload.
+func decodeGroupByRequest(p []byte, dims int) (base keys.Rect, dim, level int, ids []image.ShardID, defIdx int, err error) {
+	r := wire.NewReader(p)
+	if base, err = DecodeRect(r, dims); err != nil {
+		return keys.Rect{}, 0, 0, nil, 0, err
+	}
+	dim = int(r.Uvarint())
+	level = int(r.Uvarint())
+	if ids, err = decodeShardIDs(r); err != nil {
+		return keys.Rect{}, 0, 0, nil, 0, err
+	}
+	defIdx = int(r.Uvarint()) - 1
+	return base, dim, level, ids, defIdx, r.Err()
 }
 
 // GroupByReply is the decoded result of worker.groupby. Groups is
@@ -87,24 +99,9 @@ func encodeGroupByReply(rep GroupByReply) []byte {
 }
 
 func (w *Worker) handleGroupBy(ctx context.Context, p []byte) ([]byte, error) {
-	r := wire.NewReader(p)
-	base, err := keys.DecodeRect(r)
+	base, dim, level, ids, defIdx, err := decodeGroupByRequest(p, w.cfg.Schema.NumDims())
 	if err != nil {
 		return nil, err
-	}
-	dim := int(r.Uvarint())
-	level := int(r.Uvarint())
-	n := r.Uvarint()
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	ids := make([]image.ShardID, 0, n)
-	for i := uint64(0); i < n; i++ {
-		ids = append(ids, image.ShardID(r.Uvarint()))
-	}
-	defIdx := int(r.Uvarint()) - 1
-	if r.Err() != nil {
-		return nil, r.Err()
 	}
 	w.traceAdd(ctx, "worker.groupby", "")
 	rep, err := w.GroupByShards(ctx, base, dim, level, ids, defIdx)

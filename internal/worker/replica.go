@@ -564,11 +564,21 @@ func EncodeReplicaQueryRequest(q keys.Rect, shards []image.ShardID, maxLag uint6
 	w := wire.NewWriter(64)
 	q.Encode(w)
 	w.Uvarint(maxLag)
-	w.Uvarint(uint64(len(shards)))
-	for _, id := range shards {
-		w.Uvarint(uint64(id))
-	}
+	encodeShardIDs(w, shards)
 	return w.Bytes()
+}
+
+// decodeReplicaQueryRequest parses a worker.queryreplica payload.
+func decodeReplicaQueryRequest(p []byte, dims int) (q keys.Rect, ids []image.ShardID, maxLag uint64, err error) {
+	r := wire.NewReader(p)
+	if q, err = DecodeRect(r, dims); err != nil {
+		return keys.Rect{}, nil, 0, err
+	}
+	maxLag = r.Uvarint()
+	if ids, err = decodeShardIDs(r); err != nil {
+		return keys.Rect{}, nil, 0, err
+	}
+	return q, ids, maxLag, nil
 }
 
 // ReplicaQueryReply is the decoded result of worker.queryreplica.
@@ -586,9 +596,8 @@ func DecodeReplicaQueryReply(b []byte) (ReplicaQueryReply, error) {
 		return ReplicaQueryReply{}, err
 	}
 	rep := ReplicaQueryReply{Agg: agg}
-	n := r.Uvarint()
-	for i := uint64(0); i < n && r.Err() == nil; i++ {
-		rep.Served = append(rep.Served, image.ShardID(r.Uvarint()))
+	if rep.Served, err = decodeShardIDs(r); err != nil {
+		return ReplicaQueryReply{}, err
 	}
 	rep.MaxLag = r.Uvarint()
 	return rep, r.Err()
@@ -639,22 +648,9 @@ func (w *Worker) QueryReplicas(ctx context.Context, q keys.Rect, ids []image.Sha
 }
 
 func (w *Worker) handleQueryReplica(ctx context.Context, p []byte) ([]byte, error) {
-	r := wire.NewReader(p)
-	q, err := keys.DecodeRect(r)
+	q, ids, maxLag, err := decodeReplicaQueryRequest(p, w.cfg.Schema.NumDims())
 	if err != nil {
 		return nil, err
-	}
-	maxLag := r.Uvarint()
-	n := r.Uvarint()
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	ids := make([]image.ShardID, 0, n)
-	for i := uint64(0); i < n; i++ {
-		ids = append(ids, image.ShardID(r.Uvarint()))
-	}
-	if r.Err() != nil {
-		return nil, r.Err()
 	}
 	rep, err := w.QueryReplicas(ctx, q, ids, maxLag)
 	if err != nil {
@@ -662,10 +658,7 @@ func (w *Worker) handleQueryReplica(ctx context.Context, p []byte) ([]byte, erro
 	}
 	out := wire.NewWriter(48 + 4*len(rep.Served))
 	rep.Agg.Encode(out)
-	out.Uvarint(uint64(len(rep.Served)))
-	for _, id := range rep.Served {
-		out.Uvarint(uint64(id))
-	}
+	encodeShardIDs(out, rep.Served)
 	out.Uvarint(rep.MaxLag)
 	return out.Bytes(), nil
 }

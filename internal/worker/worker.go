@@ -500,8 +500,9 @@ func (w *Worker) CreateShard(id image.ShardID) error {
 
 // --- wire helpers --------------------------------------------------------
 
-// encodeItems appends items to the writer.
-func encodeItems(w *wire.Writer, dims int, items []core.Item) {
+// EncodeItems appends a count-prefixed item batch to the writer: the
+// item encoding of every insert-carrying RPC, server.insert included.
+func EncodeItems(w *wire.Writer, dims int, items []core.Item) {
 	w.Uvarint(uint64(len(items)))
 	for _, it := range items {
 		for _, c := range it.Coords {
@@ -511,10 +512,10 @@ func encodeItems(w *wire.Writer, dims int, items []core.Item) {
 	}
 }
 
-// decodeItems reads items written by encodeItems. All coordinate slices
+// DecodeItems reads items written by EncodeItems. All coordinate slices
 // sub-slice one flat backing array, so a batch costs two allocations
 // instead of one per item on the hot RPC decode path.
-func decodeItems(r *wire.Reader, dims int) ([]core.Item, error) {
+func DecodeItems(r *wire.Reader, dims int) ([]core.Item, error) {
 	n := r.Uvarint()
 	if r.Err() != nil {
 		return nil, r.Err()
@@ -549,8 +550,34 @@ func decodeItems(r *wire.Reader, dims int) ([]core.Item, error) {
 func EncodeInsertRequest(shard image.ShardID, dims int, items []core.Item) []byte {
 	w := wire.NewWriter(16 + len(items)*(dims*4+8))
 	w.Uvarint(uint64(shard))
-	encodeItems(w, dims, items)
+	EncodeItems(w, dims, items)
 	return w.Bytes()
+}
+
+// encodeShardIDs appends a count-prefixed shard-ID list.
+func encodeShardIDs(w *wire.Writer, ids []image.ShardID) {
+	w.Uvarint(uint64(len(ids)))
+	for _, id := range ids {
+		w.Uvarint(uint64(id))
+	}
+}
+
+// decodeShardIDs reads a list written by encodeShardIDs. Every ID takes
+// at least one byte, so a count beyond the remaining payload is rejected
+// before it can size an allocation.
+func decodeShardIDs(r *wire.Reader) ([]image.ShardID, error) {
+	n := r.Uvarint()
+	if r.Err() != nil {
+		return nil, r.Err()
+	}
+	if n > uint64(r.Remaining()) {
+		return nil, fmt.Errorf("worker: shard count %d exceeds payload", n)
+	}
+	ids := make([]image.ShardID, 0, n)
+	for i := uint64(0); i < n; i++ {
+		ids = append(ids, image.ShardID(r.Uvarint()))
+	}
+	return ids, r.Err()
 }
 
 // EncodeQueryRequest builds the payload for worker.query.
@@ -565,14 +592,39 @@ func EncodeQueryRequest(q keys.Rect, shards []image.ShardID) []byte {
 func EncodeQueryRequestRollup(q keys.Rect, shards []image.ShardID, defIdx int) []byte {
 	w := wire.NewWriter(64)
 	q.Encode(w)
-	w.Uvarint(uint64(len(shards)))
-	for _, id := range shards {
-		w.Uvarint(uint64(id))
-	}
+	encodeShardIDs(w, shards)
 	if defIdx >= 0 {
 		w.Uvarint(uint64(defIdx) + 1)
 	}
 	return w.Bytes()
+}
+
+// DecodeRect reads the query rectangle of a read request against a
+// dims-dimensional schema. Routing, tree and rollup walks index it by
+// schema dimension, so any other dimension count is rejected here.
+func DecodeRect(r *wire.Reader, dims int) (keys.Rect, error) {
+	q, err := keys.DecodeRect(r)
+	if err == nil && len(q.Ivs) != dims {
+		return keys.Rect{}, fmt.Errorf("worker: query has %d dimensions, schema has %d", len(q.Ivs), dims)
+	}
+	return q, err
+}
+
+// decodeQueryRequest parses a worker.query payload. A missing rollup
+// field (pre-rollup senders) means defIdx -1.
+func decodeQueryRequest(p []byte, dims int) (q keys.Rect, ids []image.ShardID, defIdx int, err error) {
+	r := wire.NewReader(p)
+	if q, err = DecodeRect(r, dims); err != nil {
+		return keys.Rect{}, nil, 0, err
+	}
+	if ids, err = decodeShardIDs(r); err != nil {
+		return keys.Rect{}, nil, 0, err
+	}
+	defIdx = -1
+	if r.Remaining() > 0 {
+		defIdx = int(r.Uvarint()) - 1
+	}
+	return q, ids, defIdx, r.Err()
 }
 
 // QueryReply is the decoded result of worker.query.
@@ -616,7 +668,7 @@ func (w *Worker) handleCreateShard(_ context.Context, p []byte) ([]byte, error) 
 func (w *Worker) handleInsert(ctx context.Context, p []byte) ([]byte, error) {
 	r := wire.NewReader(p)
 	id := image.ShardID(r.Uvarint())
-	items, err := decodeItems(r, w.cfg.Schema.NumDims())
+	items, err := DecodeItems(r, w.cfg.Schema.NumDims())
 	if err != nil {
 		return nil, err
 	}
@@ -691,7 +743,7 @@ func (w *Worker) Insert(ctx context.Context, id image.ShardID, items []core.Item
 func (w *Worker) handleBulkLoad(ctx context.Context, p []byte) ([]byte, error) {
 	r := wire.NewReader(p)
 	id := image.ShardID(r.Uvarint())
-	items, err := decodeItems(r, w.cfg.Schema.NumDims())
+	items, err := DecodeItems(r, w.cfg.Schema.NumDims())
 	if err != nil {
 		return nil, err
 	}
@@ -724,28 +776,9 @@ func (w *Worker) handleBulkLoad(ctx context.Context, p []byte) ([]byte, error) {
 }
 
 func (w *Worker) handleQuery(ctx context.Context, p []byte) ([]byte, error) {
-	r := wire.NewReader(p)
-	q, err := keys.DecodeRect(r)
+	q, ids, defIdx, err := decodeQueryRequest(p, w.cfg.Schema.NumDims())
 	if err != nil {
 		return nil, err
-	}
-	n := r.Uvarint()
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	ids := make([]image.ShardID, 0, n)
-	for i := uint64(0); i < n; i++ {
-		ids = append(ids, image.ShardID(r.Uvarint()))
-	}
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	defIdx := -1
-	if r.Remaining() > 0 {
-		defIdx = int(r.Uvarint()) - 1
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
 	}
 	w.traceAdd(ctx, "worker.query", "")
 	rep, err := w.queryShards(ctx, q, ids, defIdx)

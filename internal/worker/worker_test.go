@@ -125,6 +125,52 @@ func TestBulkLoadRPC(t *testing.T) {
 	}
 }
 
+// TestHostileRequests: read payloads no server encoder produces — a
+// shard list claiming 2^62 IDs in a few bytes, a rectangle with fewer
+// dimensions than the schema — are rejected with an error. Handlers run
+// without recover, so a panic here used to take the whole worker down.
+func TestHostileRequests(t *testing.T) {
+	w, _ := startWorker(t, "wh")
+	if err := w.CreateShard(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Insert(context.Background(), 1, randItems(rand.New(rand.NewSource(1)), w.cfg, 20)); err != nil {
+		t.Fatal(err)
+	}
+	hostileCount := func(params func(*wire.Writer)) []byte {
+		b := wire.NewWriter(32)
+		keys.AllRect(w.cfg.Schema).Encode(b)
+		params(b)
+		b.Uvarint(1 << 62)
+		return b.Bytes()
+	}
+	oneDim := keys.NewRect(hierarchy.Interval{Lo: 0, Hi: 99})
+	shard := []image.ShardID{1}
+	for _, tc := range []struct {
+		name    string
+		handle  netmsg.Handler
+		payload []byte
+	}{
+		{"worker.query count", w.handleQuery, hostileCount(func(*wire.Writer) {})},
+		{"worker.groupby count", w.handleGroupBy, hostileCount(func(b *wire.Writer) { b.Uvarint(0); b.Uvarint(0) })}, // dim, level
+		{"worker.queryreplica count", w.handleQueryReplica, hostileCount(func(b *wire.Writer) { b.Uvarint(0) })},     // max lag
+		{"worker.query rect", w.handleQuery, EncodeQueryRequest(oneDim, shard)},
+		{"worker.groupby rect", w.handleGroupBy, EncodeGroupByRequest(oneDim, 1, 0, shard, -1)},
+		{"worker.queryreplica rect", w.handleQueryReplica, EncodeReplicaQueryRequest(oneDim, shard, 0)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panicked: %v", r)
+				}
+			}()
+			if _, err := tc.handle(context.Background(), tc.payload); err == nil {
+				t.Fatalf("accepted a %d-byte hostile payload", len(tc.payload))
+			}
+		})
+	}
+}
+
 func TestMeta(t *testing.T) {
 	w, _ := startWorker(t, "wm")
 	w.CreateShard(1)

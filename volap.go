@@ -92,7 +92,8 @@ type (
 	// ReadPreference selects which copies of a shard a query may read:
 	// ReadLeader (default) or ReadPreferReplica.
 	ReadPreference = server.ReadPreference
-	// QueryOptions tunes one query's read path (see Client.QueryWith).
+	// QueryOptions tunes one query's read path; Query fills it from
+	// WithReadPref, WithMaxLag and WithNoRollup.
 	QueryOptions = server.QueryOptions
 	// RollupDef selects a materialized rollup: one retained hierarchy
 	// depth per dimension (0 = aggregated away). See Options.Rollups.
@@ -133,7 +134,7 @@ const (
 )
 
 // Read preferences for queries (see ClientOptions.ReadPreference and
-// Client.QueryWith).
+// WithReadPref).
 const (
 	// ReadLeader routes every shard read to the shard's primary.
 	ReadLeader = server.ReadLeader
@@ -877,10 +878,8 @@ const (
 	DefaultMaxRetries     = 3
 )
 
-// ClientOptions tunes one client session. New code passes functional
-// options (WithRequestTimeout, WithReadPreference, ...) to Connect; this
-// struct remains the home of the session defaults and the deprecated
-// struct-taking constructors.
+// ClientOptions holds one client session's settings; Connect fills it
+// from functional options (WithRequestTimeout, WithReadPreference, ...).
 type ClientOptions struct {
 	// RequestTimeout bounds each operation whose context has no deadline
 	// (default 10 s; negative disables the bound entirely).
@@ -895,7 +894,7 @@ type ClientOptions struct {
 	Metrics *metrics.Registry
 	// ReadPreference is the session's default query read path: ReadLeader
 	// (zero value) or ReadPreferReplica. Individual queries override it
-	// with Client.QueryWith.
+	// with WithReadPref.
 	ReadPreference ReadPreference
 	// MaxReplicaLag is the session's default staleness bound for replica
 	// reads, in shipped-but-unapplied WAL records (0 = the server's
@@ -954,7 +953,7 @@ func (o *ClientOptions) defaults() {
 type Client struct {
 	c        *netmsg.Client
 	dims     int
-	hash     uint64 // schema fingerprint from the handshake (0 if skipped)
+	hash     uint64 // schema fingerprint from the handshake
 	retries  int
 	reg      *metrics.Registry
 	readPref ReadPreference
@@ -973,14 +972,6 @@ func Connect(addr string, options ...ClientOption) (*Client, error) {
 	for _, apply := range options {
 		apply(&opts)
 	}
-	return connect(addr, opts, true, 0)
-}
-
-// connect dials and, when handshake is set, learns the dimension count
-// from server.hello; otherwise it trusts the given dims (the deprecated
-// ConnectDims path, which must stay handshake-free for callers talking
-// to minimal or test servers).
-func connect(addr string, opts ClientOptions, handshake bool, dims int) (*Client, error) {
 	opts.defaults()
 	reg := opts.Metrics
 	if reg == nil {
@@ -989,13 +980,6 @@ func connect(addr string, opts ClientOptions, handshake bool, dims int) (*Client
 	nc, err := netmsg.DialOptions(addr, netmsg.DialOpts{DefaultTimeout: opts.RequestTimeout, Metrics: reg})
 	if err != nil {
 		return nil, err
-	}
-	cl := &Client{
-		c: nc, dims: dims, retries: opts.MaxRetries, reg: reg,
-		readPref: opts.ReadPreference, maxLag: opts.MaxReplicaLag,
-	}
-	if !handshake {
-		return cl, nil
 	}
 	resp, err := nc.Request("server.hello", nil)
 	if err != nil {
@@ -1007,40 +991,17 @@ func connect(addr string, opts ClientOptions, handshake bool, dims int) (*Client
 		nc.Close()
 		return nil, fmt.Errorf("volap: handshake with %s: %w", addr, err)
 	}
-	cl.dims, cl.hash = h.Dims, h.ConfigHash
-	return cl, nil
-}
-
-// ConnectWith is Connect with an explicit options struct.
-//
-// Deprecated: use Connect with functional options.
-func ConnectWith(addr string, opts ClientOptions) (*Client, error) {
-	return connect(addr, opts, true, 0)
-}
-
-// ConnectDims attaches a client session without the handshake round
-// trip, for callers that already know the schema's dimension count.
-//
-// Deprecated: use Connect, which learns the dimension count from the
-// server.hello handshake.
-func ConnectDims(addr string, dims int) (*Client, error) {
-	return connect(addr, ClientOptions{}, false, dims)
-}
-
-// ConnectDimsWith is ConnectDims with an explicit options struct.
-//
-// Deprecated: use Connect, which learns the dimension count from the
-// server.hello handshake.
-func ConnectDimsWith(addr string, dims int, opts ClientOptions) (*Client, error) {
-	return connect(addr, opts, false, dims)
+	return &Client{
+		c: nc, dims: h.Dims, hash: h.ConfigHash, retries: opts.MaxRetries, reg: reg,
+		readPref: opts.ReadPreference, maxLag: opts.MaxReplicaLag,
+	}, nil
 }
 
 // Dims returns the schema dimension count the session encodes items
 // with.
 func (cl *Client) Dims() int { return cl.dims }
 
-// ConfigHash returns the schema fingerprint learned from the handshake
-// (0 when the session was opened with ConnectDims).
+// ConfigHash returns the schema fingerprint learned from the handshake.
 func (cl *Client) ConfigHash() uint64 { return cl.hash }
 
 // Metrics returns the session's registry: request latency histograms per
@@ -1229,29 +1190,6 @@ func (cl *Client) Query(ctx context.Context, q Rect, options ...QueryOption) (*R
 	return &Result{Agg: agg, Info: info}, nil
 }
 
-// QueryWith runs an aggregate query with an explicit options struct.
-//
-// Deprecated: use Query with WithReadPref / WithMaxLag / WithNoRollup.
-func (cl *Client) QueryWith(ctx context.Context, q Rect, opts QueryOptions) (Aggregate, QueryInfo, error) {
-	resp, err := cl.request(ctx, "server.query", server.EncodeQueryRequest(q, opts))
-	if err != nil {
-		return core.NewAggregate(), QueryInfo{}, err
-	}
-	return server.DecodeQueryResponse(resp)
-}
-
-// GroupBy runs one aggregate per child value of dimension dim at the
-// given level (0-based) within the base region.
-//
-// Deprecated: use Query with WithGroupBy.
-func (cl *Client) GroupBy(ctx context.Context, base Rect, dim, level int) ([]GroupResult, error) {
-	res, err := cl.Query(ctx, base, WithGroupBy(dim, level))
-	if err != nil {
-		return nil, err
-	}
-	return res.Groups, nil
-}
-
 // Sync asks the session's server to push its local image immediately.
 func (cl *Client) Sync(ctx context.Context) error {
 	_, err := cl.request(ctx, "server.sync", nil)
@@ -1289,20 +1227,6 @@ func (cl *Client) BulkLoadNoCtx(items []Item) error {
 // QueryNoCtx is Query with context.Background().
 func (cl *Client) QueryNoCtx(q Rect, options ...QueryOption) (*Result, error) {
 	return cl.Query(context.Background(), q, options...)
-}
-
-// QueryWithNoCtx is QueryWith with context.Background().
-//
-// Deprecated: use QueryNoCtx with WithReadPref / WithMaxLag / WithNoRollup.
-func (cl *Client) QueryWithNoCtx(q Rect, opts QueryOptions) (Aggregate, QueryInfo, error) {
-	return cl.QueryWith(context.Background(), q, opts)
-}
-
-// GroupByNoCtx is GroupBy with context.Background().
-//
-// Deprecated: use QueryNoCtx with WithGroupBy.
-func (cl *Client) GroupByNoCtx(base Rect, dim, level int) ([]GroupResult, error) {
-	return cl.GroupBy(context.Background(), base, dim, level)
 }
 
 // SyncNoCtx is Sync with context.Background().

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/netmsg"
+	"repro/internal/wire"
 )
 
 // TestConnectHandshake checks Connect learns the schema dimension count
@@ -51,6 +52,13 @@ func TestConnectHandshake(t *testing.T) {
 func TestClientTimeoutWedgedServer(t *testing.T) {
 	stub := netmsg.NewServer()
 	block := make(chan struct{})
+	stub.Handle("server.hello", func(context.Context, []byte) ([]byte, error) {
+		w := wire.NewWriter(16)
+		w.String("wedged")
+		w.Uvarint(2) // dims
+		w.Uint64(0)  // config hash
+		return w.Bytes(), nil
+	})
 	stub.Handle("server.query", func(_ context.Context, p []byte) ([]byte, error) { <-block; return nil, nil })
 	addr, err := stub.Listen("inproc://wedged-server-test")
 	if err != nil {
@@ -59,7 +67,7 @@ func TestClientTimeoutWedgedServer(t *testing.T) {
 	t.Cleanup(stub.Close)
 	t.Cleanup(func() { close(block) })
 
-	cl, err := ConnectDimsWith(addr, 2, ClientOptions{RequestTimeout: 100 * time.Millisecond})
+	cl, err := Connect(addr, WithRequestTimeout(100*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}

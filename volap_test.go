@@ -434,10 +434,11 @@ func TestGroupBy(t *testing.T) {
 	}
 
 	// Group by level 0 of dimension 0 (10 values).
-	groups, err := cl.GroupByNoCtx(AllRect(c.Schema()), 0, 0)
+	res, err := cl.QueryNoCtx(AllRect(c.Schema()), WithGroupBy(0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
+	groups := res.Groups
 	d0 := c.Schema().Dim(0)
 	if len(groups) != int(d0.Level(0).Fanout) {
 		t.Fatalf("groups = %d, want %d", len(groups), d0.Level(0).Fanout)
@@ -472,10 +473,11 @@ func TestGroupBy(t *testing.T) {
 		t.Fatal(err)
 	}
 	base.Ivs[0] = iv
-	sub, err := cl.GroupByNoCtx(base, 0, 1)
+	res, err = cl.QueryNoCtx(base, WithGroupBy(0, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
+	sub := res.Groups
 	if len(sub) != int(d0.Level(1).Fanout) {
 		t.Fatalf("sub-groups = %d", len(sub))
 	}
@@ -488,10 +490,10 @@ func TestGroupBy(t *testing.T) {
 	}
 
 	// Errors.
-	if _, err := cl.GroupByNoCtx(AllRect(c.Schema()), 99, 0); err == nil {
+	if _, err := cl.QueryNoCtx(AllRect(c.Schema()), WithGroupBy(99, 0)); err == nil {
 		t.Error("bad dimension should fail")
 	}
-	if _, err := cl.GroupByNoCtx(AllRect(c.Schema()), 0, 99); err == nil {
+	if _, err := cl.QueryNoCtx(AllRect(c.Schema()), WithGroupBy(0, 99)); err == nil {
 		t.Error("bad level should fail")
 	}
 }
