@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/hierarchy"
 	"repro/internal/keys"
+	"repro/internal/tpcds"
 	"repro/internal/wire"
 )
 
@@ -238,57 +239,72 @@ func TestExpandLeaf(t *testing.T) {
 	}
 }
 
-// TestIndexConcurrency mixes routing inserts, routing queries, shard
-// additions, and expansions under -race.
+// TestIndexConcurrency mixes routing inserts from four goroutines,
+// routing queries, shard additions, and expansions under -race. Every
+// choice of a child also checks each cached score factor against the
+// children's current keys, so a key change the cache missed fails here.
 func TestIndexConcurrency(t *testing.T) {
-	s := testSchema(t)
+	s := tpcds.Schema()
 	idx := NewIndex(s, keys.MDS, 4, 4)
+	var failOnce sync.Once
+	idx.chooser = checkScores(idx, func(err error) {
+		failOnce.Do(func() { t.Error(err) })
+	})
 	for i := 0; i < 4; i++ {
-		if err := idx.AddShard(ShardID(i), keys.NewPoint(keys.MDS, 4, []uint64{uint64(25 * i), 20})); err != nil {
+		if err := idx.AddShard(ShardID(i), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
+	const routers, perRouter = 4, 3000
+	type placed struct {
+		coords []uint64
+		shard  ShardID
+	}
+	routed := make([][]placed, routers)
 	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for g := 0; g < 3; g++ {
+	for g := 0; g < routers; g++ {
 		wg.Add(1)
-		go func(seed int64) {
+		go func(g int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < 3000; i++ {
-				if _, _, err := idx.RouteInsert([]uint64{uint64(rng.Intn(100)), uint64(rng.Intn(40))}); err != nil {
+			gen := tpcds.NewGenerator(s, int64(g+1), 1.1)
+			for i := 0; i < perRouter; i++ {
+				coords := gen.Item().Coords
+				id, _, err := idx.RouteInsert(coords)
+				if err != nil {
 					t.Error(err)
 					return
 				}
+				routed[g] = append(routed[g], placed{coords, id})
 			}
-		}(int64(g))
+		}(g)
 	}
+	stop := make(chan struct{})
 	var qwg sync.WaitGroup
 	qwg.Add(1)
 	go func() {
 		defer qwg.Done()
-		rng := rand.New(rand.NewSource(99))
+		gen := tpcds.NewGenerator(s, 98, 1.1)
 		for {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			lo := uint64(rng.Intn(100))
-			q := keys.NewRect(hierarchy.Interval{Lo: 0, Hi: lo}, hierarchy.Interval{Lo: 0, Hi: 39})
-			idx.RouteQuery(q)
+			idx.RouteQuery(gen.Query())
 		}
 	}()
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 4; i < 20; i++ {
-			if err := idx.AddShard(ShardID(i), keys.NewPoint(keys.MDS, 4, []uint64{uint64(i * 5), 10})); err != nil {
+		gen := tpcds.NewGenerator(s, 99, 1.1)
+		for i := 4; i < 24; i++ {
+			if err := idx.AddShard(ShardID(i), keys.NewPoint(keys.MDS, 4, gen.Item().Coords)); err != nil {
 				t.Error(err)
 				return
 			}
-			k := keys.NewPoint(keys.MDS, 4, []uint64{uint64(i * 5), 30})
-			idx.ExpandLeaf(ShardID(i), k, uint64(i))
+			for j := 0; j < 4; j++ {
+				idx.ExpandLeaf(ShardID((i*7+j)%i), keys.NewPoint(keys.MDS, 4, gen.Item().Coords), uint64(i))
+			}
 		}
 	}()
 
@@ -298,8 +314,16 @@ func TestIndexConcurrency(t *testing.T) {
 	if err := idx.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if idx.NumShards() != 20 {
+	if idx.NumShards() != 24 {
 		t.Fatalf("NumShards = %d", idx.NumShards())
+	}
+	for _, ps := range routed {
+		for _, p := range ps {
+			k, _, ok := idx.LeafSnapshot(p.shard)
+			if !ok || !k.ContainsPoint(p.coords) {
+				t.Fatalf("point %v routed to shard %d lies outside its key %v", p.coords, p.shard, k)
+			}
+		}
 	}
 }
 

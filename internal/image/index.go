@@ -16,8 +16,9 @@ import (
 // used during synchronization.
 //
 // Concurrency: routing operations use the same lock-coupling discipline
-// as the shard trees (insert routing holds at most two node write locks;
-// query routing read-locks a frontier). Structural operations (AddShard)
+// as the shard trees (insert routing holds at most two node write locks,
+// plus read locks on the children it scores; query routing read-locks a
+// frontier). Structural operations (AddShard)
 // and bottom-up expansions additionally serialize on structMu so that
 // parent pointers never change under an upward walker; the upward walk
 // itself holds only one node lock at a time, which — exactly as the paper
@@ -36,6 +37,10 @@ type Index struct {
 
 	leafMu sync.RWMutex
 	leaves map[ShardID]*inode
+
+	// chooser, when set by a test, replaces the cached scorer in
+	// chooseChild.
+	chooser func(n *inode, t target) int
 }
 
 type inode struct {
@@ -43,6 +48,7 @@ type inode struct {
 	key      *keys.Key
 	parent   *inode
 	children []*inode
+	scores   scoreCache // directories only
 
 	leaf  bool
 	shard ShardID
@@ -157,7 +163,8 @@ func (x *Index) AddShard(id ShardID, k *keys.Key) error {
 			cur.mu.Unlock()
 			break
 		}
-		i := x.chooseChild(cur, leaf.key, nil)
+		t := target{key: leaf.key}
+		i := x.chooseChild(cur, t)
 		child := cur.children[i]
 		child.mu.Lock()
 		if len(child.children) >= x.dirCap {
@@ -169,7 +176,8 @@ func (x *Index) AddShard(id ShardID, k *keys.Key) error {
 			// Route into the better half. child is write-locked by us and
 			// right is not yet reachable by others (cur is write-locked),
 			// so the keys are read directly.
-			if keyEnlargement(right.key, leaf.key) < keyEnlargement(child.key, leaf.key) {
+			dims := x.schema.NumDims()
+			if cur.scores.enlargement(right.key, t, dims) < cur.scores.enlargement(child.key, t, dims) {
 				right.mu.Lock()
 				child.mu.Unlock()
 				child = right
@@ -237,49 +245,25 @@ func (x *Index) splitDir(n *inode) *inode {
 	return right
 }
 
-// keyEnlargement measures how much extending base by k grows it. The
-// caller must have exclusive or read access to base.
-func keyEnlargement(base, k *keys.Key) float64 {
-	if base.Empty() {
-		return k.Volume()
-	}
-	ext := base.Clone()
-	ext.ExtendKey(k)
-	return ext.Volume() - base.Volume()
-}
-
 // chooseChild picks the subtree that minimizes the overlap its extension
-// (by key k or point coords) would cause with its siblings — the paper's
-// least-overlap rule ("the high global cost of overlap dominates the cost
-// of performing overlap calculations in the index", §III-C). The caller
-// holds n's write lock.
-func (x *Index) chooseChild(n *inode, k *keys.Key, coords []uint64) int {
-	snaps := make([]*keys.Key, len(n.children))
-	for i, c := range n.children {
+// by t would cause with its siblings — the paper's least-overlap rule
+// ("the high global cost of overlap dominates the cost of performing
+// overlap calculations in the index", §III-C). The caller holds n's write
+// lock; the children are read-locked together while they are scored.
+func (x *Index) chooseChild(n *inode, t target) int {
+	for _, c := range n.children {
 		c.mu.RLock()
-		snaps[i] = c.key.Clone()
+	}
+	var i int
+	if x.chooser != nil {
+		i = x.chooser(n, t)
+	} else {
+		i = n.scores.choose(n.children, t, x.schema.NumDims())
+	}
+	for _, c := range n.children {
 		c.mu.RUnlock()
 	}
-	best, bestOv, bestEnl := -1, 0.0, 0.0
-	for i := range n.children {
-		ext := snaps[i].Clone()
-		if coords != nil {
-			ext.ExtendPoint(coords)
-		} else {
-			ext.ExtendKey(k)
-		}
-		ov := 0.0
-		for j := range snaps {
-			if j != i {
-				ov += ext.OverlapVolume(snaps[j])
-			}
-		}
-		enl := ext.Volume() - snaps[i].Volume()
-		if best == -1 || ov < bestOv || (ov == bestOv && enl < bestEnl) {
-			best, bestOv, bestEnl = i, ov, enl
-		}
-	}
-	return best
+	return i
 }
 
 // RouteInsert picks the shard for a new item, expanding bounding boxes
@@ -305,7 +289,7 @@ func (x *Index) RouteInsert(coords []uint64) (ShardID, bool, error) {
 			return id, grew, nil
 		}
 		cur.key.ExtendPoint(coords)
-		i := x.chooseChild(cur, nil, coords)
+		i := x.chooseChild(cur, target{coords: coords})
 		child := cur.children[i]
 		child.mu.Lock()
 		cur.mu.Unlock()

@@ -30,6 +30,23 @@ func FuzzDecodeKey(f *testing.F) {
 			pt := make([]uint64, dk.Dims())
 			_ = dk.ContainsPoint(pt)
 		}
+		// Extending the key, or extending by it, must work too: the
+		// server's image does both with published keys.
+		pt := make([]uint64, dk.Dims())
+		for d := range pt {
+			pt[d] = uint64(d) * 7
+		}
+		grown := dk.Clone()
+		grown.ExtendPoint(pt)
+		if !grown.ContainsPoint(pt) {
+			t.Fatalf("%v extended by %v misses it", grown, pt)
+		}
+		grown.ExtendKey(dk)
+		other := NewPoint(dk.Kind(), 2, pt)
+		other.ExtendKey(dk)
+		if !dk.CoveredByKey(other) {
+			t.Fatalf("%v extended by %v does not cover it", other, dk)
+		}
 	})
 }
 

@@ -18,6 +18,7 @@ package keys
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -132,8 +133,9 @@ func (r Rect) String() string {
 // mutation; tree nodes guard them with their own locks.
 type Key struct {
 	kind  Kind
-	cap   int
 	empty bool
+	cap   int
+	gen   uint64                 // bumped by every mutation that changes the region
 	sets  [][]hierarchy.Interval // per dim, sorted, disjoint, non-adjacent
 }
 
@@ -174,9 +176,11 @@ func (k *Key) Clone() *Key {
 	return c
 }
 
-// CopyFrom overwrites k with o's contents, reusing k's storage.
+// CopyFrom overwrites k with o's contents, reusing k's storage. It
+// counts as a region change for Gen.
 func (k *Key) CopyFrom(o *Key) {
 	k.kind, k.cap, k.empty = o.kind, o.cap, o.empty
+	k.gen++
 	if len(k.sets) != len(o.sets) {
 		k.sets = make([][]hierarchy.Interval, len(o.sets))
 	}
@@ -187,6 +191,12 @@ func (k *Key) CopyFrom(o *Key) {
 
 // Set returns the interval set of dimension d (aliased, do not mutate).
 func (k *Key) Set(d int) []hierarchy.Interval { return k.sets[d] }
+
+// Gen returns the key's generation: a counter that ExtendPoint, ExtendKey
+// and CopyFrom bump whenever they change the key's region, and only then.
+// A value derived from the key while Gen read g is still valid while Gen
+// reads g.
+func (k *Key) Gen() uint64 { return k.gen }
 
 // Bounds returns the overall [min,max] interval of dimension d. The key
 // must not be empty.
@@ -247,7 +257,7 @@ func (k *Key) CoveredByKey(o *Key) bool {
 		return false
 	}
 	for d := range k.sets {
-		if setIntersectLen(k.sets[d], o.sets[d]) != setLen(k.sets[d]) {
+		if IntersectLen(k.sets[d], o.sets[d]) != SetLen(k.sets[d]) {
 			return false
 		}
 	}
@@ -260,7 +270,7 @@ func (k *Key) OverlapsKey(o *Key) bool {
 		return false
 	}
 	for d := range k.sets {
-		if setIntersectLen(k.sets[d], o.sets[d]) == 0 {
+		if IntersectLen(k.sets[d], o.sets[d]) == 0 {
 			return false
 		}
 	}
@@ -274,10 +284,17 @@ func (k *Key) ExtendPoint(coords []uint64) {
 			k.sets[d] = append(k.sets[d][:0], hierarchy.Interval{Lo: c, Hi: c})
 		}
 		k.empty = false
+		k.gen++
 		return
 	}
+	grew := false
 	for d, c := range coords {
-		k.sets[d] = setAddOrdinal(k.sets[d], c, k.cap)
+		var g bool
+		k.sets[d], g = setAddOrdinal(k.sets[d], c, k.cap)
+		grew = grew || g
+	}
+	if grew {
+		k.gen++
 	}
 }
 
@@ -290,9 +307,40 @@ func (k *Key) ExtendKey(o *Key) {
 		k.CopyFrom(o)
 		return
 	}
-	for d := range k.sets {
-		k.sets[d] = setUnion(k.sets[d], o.sets[d], k.cap)
+	grew := false
+	for d, set := range k.sets {
+		u := setUnion(make([]hierarchy.Interval, 0, len(set)+len(o.sets[d])), set, o.sets[d], k.cap)
+		grew = grew || !slices.Equal(u, set)
+		k.sets[d] = u
 	}
+	if grew {
+		k.gen++
+	}
+}
+
+// ExtendedSetPoint returns the interval set dimension d would have after
+// ExtendPoint with ordinal ord in that dimension, and whether it differs
+// from Set(d). k is not mutated: a differing set is built in buf (grown
+// if needed), an unchanged one is Set(d) itself.
+func (k *Key) ExtendedSetPoint(d int, ord uint64, buf []hierarchy.Interval) ([]hierarchy.Interval, bool) {
+	set := k.sets[d]
+	if setContains(set, ord) {
+		return set, false
+	}
+	ext, _ := setAddOrdinal(append(buf[:0], set...), ord, k.cap)
+	return ext, true
+}
+
+// ExtendedSetKey is ExtendedSetPoint for ExtendKey(o).
+func (k *Key) ExtendedSetKey(d int, o *Key, buf []hierarchy.Interval) ([]hierarchy.Interval, bool) {
+	set, add := k.sets[d], o.sets[d]
+	switch {
+	case o.empty || (!k.empty && IntersectLen(add, set) == SetLen(add)):
+		return set, false
+	case k.empty:
+		return append(buf[:0], add...), true
+	}
+	return setUnion(buf[:0], set, add, k.cap), true
 }
 
 // Volume returns the number of grid cells covered by the key's region, as
@@ -304,7 +352,7 @@ func (k *Key) Volume() float64 {
 	}
 	v := 1.0
 	for _, set := range k.sets {
-		v *= float64(setLen(set))
+		v *= float64(SetLen(set))
 	}
 	return v
 }
@@ -316,7 +364,7 @@ func (k *Key) OverlapVolume(o *Key) float64 {
 	}
 	v := 1.0
 	for d := range k.sets {
-		l := setIntersectLen(k.sets[d], o.sets[d])
+		l := IntersectLen(k.sets[d], o.sets[d])
 		if l == 0 {
 			return 0
 		}
@@ -333,7 +381,7 @@ func (k *Key) EnlargementPoint(coords []uint64) float64 {
 	}
 	before, after := 1.0, 1.0
 	for d, set := range k.sets {
-		l := setLen(set)
+		l := SetLen(set)
 		before *= float64(l)
 		if setContains(set, coords[d]) {
 			after *= float64(l)
@@ -406,9 +454,10 @@ func (k *Key) Encode(w *wire.Writer) {
 }
 
 // DecodeKey reads a key serialized by Encode, validating the structural
-// invariants the rest of the package relies on: a non-empty key has at
-// least one interval in every dimension, and each dimension's intervals
-// are sorted, disjoint, and non-adjacent.
+// invariants the rest of the package relies on: the cap is one NewEmpty
+// gives the kind, a non-empty key has between one and cap intervals in
+// every dimension, and each dimension's intervals are sorted, disjoint,
+// and non-adjacent.
 func DecodeKey(rd *wire.Reader) (*Key, error) {
 	kind := Kind(rd.Uint8())
 	cp := rd.Uvarint()
@@ -417,11 +466,16 @@ func DecodeKey(rd *wire.Reader) (*Key, error) {
 	if rd.Err() != nil || dims > 64 || kind > MBR {
 		return nil, fmt.Errorf("keys: bad key header (dims=%d)", dims)
 	}
+	// A cap NewEmpty could not have produced would make the next
+	// extension index out of range in coarsen.
+	if (kind == MBR && cp != 1) || cp == 0 || cp > 1<<20 {
+		return nil, fmt.Errorf("keys: bad %v interval cap %d", kind, cp)
+	}
 	k := &Key{kind: kind, cap: int(cp), empty: empty, sets: make([][]hierarchy.Interval, dims)}
 	for d := range k.sets {
 		n := rd.Uvarint()
-		if rd.Err() != nil || n > 1<<20 || uint64(rd.Remaining()) < n {
-			return nil, fmt.Errorf("keys: bad interval count %d", n)
+		if rd.Err() != nil || n > cp || uint64(rd.Remaining()) < n {
+			return nil, fmt.Errorf("keys: bad interval count %d (cap %d)", n, cp)
 		}
 		if empty && n != 0 {
 			return nil, fmt.Errorf("keys: empty key with %d intervals", n)
@@ -475,8 +529,8 @@ func setOverlapsInterval(set []hierarchy.Interval, iv hierarchy.Interval) bool {
 	return i < len(set) && set[i].Lo <= iv.Hi
 }
 
-// setLen returns the total number of ordinals covered by the set.
-func setLen(set []hierarchy.Interval) uint64 {
+// SetLen returns the total number of ordinals covered by an interval set.
+func SetLen(set []hierarchy.Interval) uint64 {
 	var n uint64
 	for _, iv := range set {
 		n += iv.Len()
@@ -484,8 +538,9 @@ func setLen(set []hierarchy.Interval) uint64 {
 	return n
 }
 
-// setIntersectLen returns the number of ordinals covered by both sets.
-func setIntersectLen(a, b []hierarchy.Interval) uint64 {
+// IntersectLen returns the number of ordinals covered by both interval
+// sets.
+func IntersectLen(a, b []hierarchy.Interval) uint64 {
 	var n uint64
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
@@ -504,11 +559,11 @@ func setIntersectLen(a, b []hierarchy.Interval) uint64 {
 }
 
 // setAddOrdinal inserts a single ordinal, merging with neighbors and
-// coarsening to the cap.
-func setAddOrdinal(set []hierarchy.Interval, ord uint64, cap int) []hierarchy.Interval {
+// coarsening to the cap. It reports whether the set changed.
+func setAddOrdinal(set []hierarchy.Interval, ord uint64, cap int) ([]hierarchy.Interval, bool) {
 	i := sort.Search(len(set), func(i int) bool { return set[i].Hi >= ord })
 	if i < len(set) && set[i].Lo <= ord {
-		return set // already covered
+		return set, false // already covered
 	}
 	// Try to attach to the interval ending just before or starting just
 	// after ord.
@@ -519,22 +574,21 @@ func setAddOrdinal(set []hierarchy.Interval, ord uint64, cap int) []hierarchy.In
 			set[i-1].Hi = set[i].Hi
 			set = append(set[:i], set[i+1:]...)
 		}
-		return set
+		return set, true
 	}
 	if i < len(set) && set[i].Lo == ord+1 {
 		set[i].Lo = ord
-		return set
+		return set, true
 	}
 	set = append(set, hierarchy.Interval{})
 	copy(set[i+1:], set[i:])
 	set[i] = hierarchy.Interval{Lo: ord, Hi: ord}
-	return coarsen(set, cap)
+	return coarsen(set, cap), true
 }
 
-// setUnion merges two sets, coalescing overlaps/adjacency and coarsening
-// to the cap.
-func setUnion(a, b []hierarchy.Interval, cap int) []hierarchy.Interval {
-	out := make([]hierarchy.Interval, 0, len(a)+len(b))
+// setUnion merges two sets into out (which must not alias them),
+// coalescing overlaps/adjacency and coarsening to the cap.
+func setUnion(out, a, b []hierarchy.Interval, cap int) []hierarchy.Interval {
 	i, j := 0, 0
 	push := func(iv hierarchy.Interval) {
 		if n := len(out); n > 0 && iv.Lo <= out[n-1].Hi+1 {

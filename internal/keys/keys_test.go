@@ -2,6 +2,7 @@ package keys
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -338,19 +339,108 @@ func TestSetPrimitives(t *testing.T) {
 	if !setOverlapsInterval(set, iv(5, 8)) || setOverlapsInterval(set, iv(5, 7)) {
 		t.Error("setOverlapsInterval wrong")
 	}
-	if setLen(set) != 3+3+1 {
-		t.Errorf("setLen = %d", setLen(set))
+	if SetLen(set) != 3+3+1 {
+		t.Errorf("SetLen = %d", SetLen(set))
 	}
 	other := []hierarchy.Interval{iv(0, 2), iv(9, 25)}
-	if got := setIntersectLen(set, other); got != 1+2+1 {
-		t.Errorf("setIntersectLen = %d", got)
+	if got := IntersectLen(set, other); got != 1+2+1 {
+		t.Errorf("IntersectLen = %d", got)
 	}
-	if got := setIntersectLen(set, nil); got != 0 {
-		t.Errorf("setIntersectLen(nil) = %d", got)
+	if got := IntersectLen(set, nil); got != 0 {
+		t.Errorf("IntersectLen(nil) = %d", got)
 	}
-	u := setUnion(set, other, 10)
-	if setLen(u) != 23 { // [0,4] ∪ [8,25] = 5 + 18 = 23
-		t.Errorf("setUnion covers %d: %v", setLen(u), u)
+	u := setUnion(nil, set, other, 10)
+	if SetLen(u) != 23 { // [0,4] ∪ [8,25] = 5 + 18 = 23
+		t.Errorf("setUnion covers %d: %v", SetLen(u), u)
+	}
+}
+
+// TestExtendedSetMatchesExtend checks that ExtendedSetPoint and
+// ExtendedSetKey predict exactly the sets ExtendPoint and ExtendKey
+// produce, that they leave the key alone, and that Gen moves exactly
+// when the region does.
+func TestExtendedSetMatchesExtend(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const dims = 3
+	randPoint := func() []uint64 {
+		p := make([]uint64, dims)
+		for d := range p {
+			p[d] = uint64(rng.Intn(60))
+		}
+		return p
+	}
+	for _, kind := range []Kind{MDS, MBR} {
+		for _, capPerDim := range []int{1, 2, 4} {
+			k := NewEmpty(kind, dims, capPerDim)
+			var buf []hierarchy.Interval
+			for step := 0; step < 400; step++ {
+				before, gen := k.Clone(), k.Gen()
+				want := k.Clone()
+				ext := make([][]hierarchy.Interval, dims)
+				changed := false
+				if step%5 == 4 {
+					o := NewPoint(kind, capPerDim, randPoint())
+					if step%3 == 0 {
+						o.ExtendPoint(randPoint())
+					}
+					for d := range ext {
+						set, ch := k.ExtendedSetKey(d, o, buf)
+						ext[d], changed = append([]hierarchy.Interval(nil), set...), changed || ch
+					}
+					want.ExtendKey(o)
+					k.ExtendKey(o)
+				} else {
+					p := randPoint()
+					for d := range ext {
+						set, ch := k.ExtendedSetPoint(d, p[d], buf)
+						ext[d], changed = append([]hierarchy.Interval(nil), set...), changed || ch
+					}
+					want.ExtendPoint(p)
+					k.ExtendPoint(p)
+				}
+				for d := range ext {
+					if !slices.Equal(ext[d], want.Set(d)) {
+						t.Fatalf("%v cap %d step %d dim %d: predicted %v, extension gave %v", kind, capPerDim, step, d, ext[d], want.Set(d))
+					}
+				}
+				if changed == before.Equal(k) {
+					t.Fatalf("%v cap %d step %d: changed=%v but region equal=%v", kind, capPerDim, step, changed, before.Equal(k))
+				}
+				if (k.Gen() != gen) != changed {
+					t.Fatalf("%v cap %d step %d: Gen %d→%d with changed=%v", kind, capPerDim, step, gen, k.Gen(), changed)
+				}
+			}
+		}
+	}
+}
+
+// TestDecodeKeyRejectsBadCap: a decoded key whose cap NewEmpty could not
+// have produced used to be accepted, and its first extension panicked in
+// coarsen.
+func TestDecodeKeyRejectsBadCap(t *testing.T) {
+	two := []hierarchy.Interval{iv(1, 2), iv(5, 6)}
+	for _, tc := range []struct {
+		name string
+		k    *Key
+	}{
+		{"mds cap 0", &Key{kind: MDS, cap: 0, sets: [][]hierarchy.Interval{{iv(1, 1)}}}},
+		{"mbr cap 2", &Key{kind: MBR, cap: 2, sets: [][]hierarchy.Interval{two}}},
+		{"mbr cap 2 empty", &Key{kind: MBR, cap: 2, empty: true, sets: make([][]hierarchy.Interval, 1)}},
+		{"intervals over cap", &Key{kind: MDS, cap: 1, sets: [][]hierarchy.Interval{two}}},
+	} {
+		w := wire.NewWriter(32)
+		tc.k.Encode(w)
+		if dk, err := DecodeKey(wire.NewReader(w.Bytes())); err == nil {
+			t.Errorf("%s: decoded %v, want an error", tc.name, dk)
+		}
+	}
+	for _, k := range []*Key{NewEmpty(MBR, 2, 0), NewPoint(MDS, 1, []uint64{4, 9}), NewPoint(MBR, 0, []uint64{4, 9})} {
+		w := wire.NewWriter(32)
+		k.Encode(w)
+		dk, err := DecodeKey(wire.NewReader(w.Bytes()))
+		if err != nil || !dk.Equal(k) {
+			t.Errorf("valid key %v: decoded %v, %v", k, dk, err)
+		}
 	}
 }
 
