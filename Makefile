@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race bench bench-ingest bench-worker bench-replication bench-rollup examples smoke
+.PHONY: check fmt vet build test race bench bench-smoke bench-ingest bench-worker bench-replication bench-rollup examples smoke
 
 # The standard gate: everything CI (and the tier-1 verify) runs.
 check: fmt vet build race
@@ -29,6 +29,12 @@ race:
 bench: bench-ingest
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
+# The benchmark module (benchmark/) imports internal/server and
+# internal/worker directly and is its own Go module, so the root gate
+# never builds it: vet it and run its tests under the race detector.
+bench-smoke:
+	cd benchmark && $(GO) vet . && $(GO) test -race .
+
 # Durability ingest overhead (off/async/sync), emitted machine-readable
 # as BENCH_ingest.json.
 bench-ingest:
@@ -39,8 +45,8 @@ bench-ingest:
 bench-worker:
 	./scripts/bench_worker.sh
 
-# Shard replication: hot-shard read throughput RF=1 vs RF=2 prefer-replica
-# and the failover window, emitted machine-readable as BENCH_replication.json.
+# Shard replication: the failover window (promotion pass to the first
+# complete read), emitted machine-readable as BENCH_replication.json.
 bench-replication:
 	./scripts/bench_replication.sh
 

@@ -609,78 +609,6 @@ func chaosPrimaryFailover(t *testing.T, ingestWorkers int) {
 	}
 }
 
-// TestReplicaReadPath drives ReadPreferReplica end to end on a healthy
-// RF=2 cluster: queries succeed with the same aggregate as leader reads,
-// report replica-served shards in QueryInfo, and bump the server's
-// replica-read counter.
-func TestReplicaReadPath(t *testing.T) {
-	c, err := Start(Options{
-		Schema:            TPCDSSchema(),
-		Workers:           2,
-		Servers:           1,
-		ShardsPerWorker:   2,
-		BalanceInterval:   -1,
-		SyncInterval:      time.Hour,
-		StatsInterval:     50 * time.Millisecond,
-		Durability:        DurabilitySync,
-		DataDir:           t.TempDir(),
-		ReplicationFactor: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Stop)
-	cl, err := c.Client()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	seedStream(t, c, cl, 300)
-	leader, err := cl.QueryNoCtx(AllRect(c.Schema()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	leaderAgg := leader.Agg
-
-	sawReplica := false
-	for i := 0; i < 8; i++ {
-		res, err := cl.QueryNoCtx(AllRect(c.Schema()), WithReadPref(ReadPreferReplica))
-		if err != nil {
-			t.Fatalf("replica query %d: %v", i, err)
-		}
-		if res.Agg.Count != leaderAgg.Count {
-			t.Fatalf("replica query %d count = %d, want %d", i, res.Agg.Count, leaderAgg.Count)
-		}
-		if len(res.Info.ReplicaShards) > 0 {
-			sawReplica = true
-		}
-	}
-	if !sawReplica {
-		t.Fatal("no query was ever served from a replica")
-	}
-
-	var b bytes.Buffer
-	if err := c.servers[0].Metrics().WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	if n := prometheusCounter(t, b.String(), "server_replica_reads_total"); n == 0 {
-		t.Fatal("server_replica_reads_total stayed zero across replica reads")
-	}
-
-	// Session-level preference via functional options: the plain Query
-	// path uses it too.
-	rcl, err := Connect(c.ServerAddr(0), WithReadPreference(ReadPreferReplica))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rcl.Close()
-	res, err := rcl.QueryNoCtx(AllRect(c.Schema()))
-	if err != nil || res.Agg.Count != leaderAgg.Count {
-		t.Fatalf("session-preference query: err=%v res=%+v want=%d", err, res, leaderAgg.Count)
-	}
-}
-
 // TestPromoteReplicaManual exercises planned promotion on a live
 // cluster: PromoteReplica flips a shard's primary to its follower
 // without losing a single acked item, and the old primary forwards

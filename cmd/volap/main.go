@@ -35,21 +35,12 @@ func main() {
 	n := fs.Int("n", 1000, "operation count")
 	seed := fs.Int64("seed", time.Now().UnixNano(), "workload seed")
 	bulk := fs.Bool("bulk", false, "use the bulk ingestion path")
-	readPref := fs.String("read-pref", "leader", "query read path: leader or replica")
-	maxLag := fs.Uint64("max-replica-lag", 0, "staleness bound for replica reads in WAL records (0 = server default)")
 	groupBy := fs.String("group-by", "", "grouped query: dim:level (dimension by name or index, level 0-based)")
 	noRollup := fs.Bool("no-rollup", false, "force the raw tree path even when a rollup covers the query")
 	metricsAddr := fs.String("metrics-addr", "", "serve the session's /metrics on this address (off when empty)")
 	_ = fs.Parse(args)
 
 	var qopt []volap.QueryOption
-	switch *readPref {
-	case "leader":
-	case "replica":
-		qopt = append(qopt, volap.WithReadPref(volap.ReadPreferReplica), volap.WithMaxLag(*maxLag))
-	default:
-		fatal(fmt.Errorf("unknown -read-pref %q (want leader or replica)", *readPref), "flags")
-	}
 	if *noRollup {
 		qopt = append(qopt, volap.WithNoRollup())
 	}
@@ -91,9 +82,9 @@ func main() {
 			start := time.Now()
 			res, err := cl.QueryNoCtx(volap.AllRect(schema), append(qopt, volap.WithGroupBy(dim, level))...)
 			fatal(err, "group-by")
-			fmt.Printf("group-by %s:%d source=%s shards=%d latency=%v%s%s\n",
+			fmt.Printf("group-by %s:%d source=%s shards=%d latency=%v%s\n",
 				schema.Dim(dim).Name(), level, res.Info.Source(), res.Info.ShardsSearched,
-				time.Since(start).Round(time.Microsecond), replicaNote(res.Info), partialNote(res.Info))
+				time.Since(start).Round(time.Microsecond), partialNote(res.Info))
 			for _, g := range res.Groups {
 				fmt.Printf("  value=%-6d count=%-10d sum=%-14.2f\n", g.Value, g.Agg.Count, g.Agg.Sum)
 			}
@@ -101,9 +92,9 @@ func main() {
 		}
 		res, err := cl.QueryNoCtx(volap.AllRect(schema), qopt...)
 		fatal(err, "query")
-		fmt.Printf("database: count=%d sum=%.2f avg=%.2f source=%s (searched %d shards on %d workers)%s%s\n",
+		fmt.Printf("database: count=%d sum=%.2f avg=%.2f source=%s (searched %d shards on %d workers)%s\n",
 			res.Agg.Count, res.Agg.Sum, res.Agg.Avg(), res.Info.Source(), res.Info.ShardsSearched,
-			res.Info.WorkersContacted, replicaNote(res.Info), partialNote(res.Info))
+			res.Info.WorkersContacted, partialNote(res.Info))
 		total := res.Agg.Count
 		gen := tpcds.NewGenerator(schema, *seed, 1.1)
 		for i := 0; i < *n; i++ {
@@ -115,9 +106,9 @@ func main() {
 			if total > 0 {
 				cov = float64(res.Agg.Count) / float64(total)
 			}
-			fmt.Printf("q%-3d coverage=%5.1f%% count=%-10d sum=%-14.2f shards=%-3d source=%-6s latency=%v%s%s\n",
+			fmt.Printf("q%-3d coverage=%5.1f%% count=%-10d sum=%-14.2f shards=%-3d source=%-6s latency=%v%s\n",
 				i, cov*100, res.Agg.Count, res.Agg.Sum, res.Info.ShardsSearched, res.Info.Source(),
-				time.Since(start).Round(time.Microsecond), replicaNote(res.Info), partialNote(res.Info))
+				time.Since(start).Round(time.Microsecond), partialNote(res.Info))
 		}
 	default:
 		usage()
@@ -166,14 +157,6 @@ func partialNote(info volap.QueryInfo) string {
 		return ""
 	}
 	return fmt.Sprintf(" PARTIAL: missing shards %v", info.MissingShards)
-}
-
-// replicaNote reports how much of the answer came from replica copies.
-func replicaNote(info volap.QueryInfo) string {
-	if len(info.ReplicaShards) == 0 {
-		return ""
-	}
-	return fmt.Sprintf(" [%d shards from replicas, lag<=%d]", len(info.ReplicaShards), info.MaxReplicaLag)
 }
 
 // connect picks a server (explicitly or from the image) and attaches a

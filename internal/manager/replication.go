@@ -84,6 +84,27 @@ func (sc *statusCache) get(workerID string) *worker.ReplStatus {
 	return &st
 }
 
+// freshestFollower returns the listed follower whose standby of shard id
+// applied the most shipped records, or "" when none answers. A primary
+// drops a follower whose ship fails and keeps acking, so only the
+// freshest standby is sure to hold every acknowledged record.
+func (sc *statusCache) freshestFollower(id image.ShardID, replicas []string) string {
+	best := ""
+	var bestApplied uint64
+	for _, rid := range replicas {
+		st := sc.get(rid)
+		if st == nil {
+			continue
+		}
+		for _, s := range st.Standbys {
+			if s.Shard == id && (best == "" || s.Applied > bestApplied) {
+				best, bestApplied = rid, s.Applied
+			}
+		}
+	}
+	return best
+}
+
 // sortedShardIDs gives passes a deterministic iteration order.
 func sortedShardIDs(shards map[image.ShardID]*image.ShardMeta) []image.ShardID {
 	ids := make([]image.ShardID, 0, len(shards))
@@ -107,25 +128,7 @@ func (m *Manager) promoteDeadPrimaries(views map[string]*workerView, shards map[
 		if views[meta.Worker] != nil || len(meta.Replicas) == 0 {
 			continue
 		}
-		// Rank the listed followers by applied watermark; the semi-sync
-		// ship means every follower holds every acknowledged record, so
-		// the ranking only breaks ties among unacknowledged tails.
-		best := ""
-		var bestApplied uint64
-		for _, rid := range meta.Replicas {
-			st := sc.get(rid)
-			if st == nil {
-				continue
-			}
-			for _, s := range st.Standbys {
-				if s.Shard != id {
-					continue
-				}
-				if best == "" || s.Applied > bestApplied {
-					best, bestApplied = rid, s.Applied
-				}
-			}
-		}
+		best := sc.freshestFollower(id, meta.Replicas)
 		if best == "" {
 			continue
 		}
@@ -349,22 +352,7 @@ func (m *Manager) PromoteShard(id image.ShardID) (string, error) {
 		return "", fmt.Errorf("manager: unknown shard %d", id)
 	}
 	sc := &statusCache{m: m, views: views, got: map[string]*worker.ReplStatus{}}
-	best := ""
-	var bestApplied uint64
-	for _, rid := range meta.Replicas {
-		st := sc.get(rid)
-		if st == nil {
-			continue
-		}
-		for _, s := range st.Standbys {
-			if s.Shard != id {
-				continue
-			}
-			if best == "" || s.Applied > bestApplied {
-				best, bestApplied = rid, s.Applied
-			}
-		}
-	}
+	best := sc.freshestFollower(id, meta.Replicas)
 	if best == "" {
 		return "", fmt.Errorf("manager: shard %d has no live replica", id)
 	}

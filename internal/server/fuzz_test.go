@@ -22,10 +22,10 @@ func FuzzServerRequest(f *testing.F) {
 	items := []core.Item{{Coords: []uint64{5, 7}, Measure: 1.5}, {Coords: []uint64{99, 0}, Measure: -2}}
 	f.Add(EncodeItems(dims, items))
 	f.Add(EncodeQueryRequest(rect, QueryOptions{}))
-	f.Add(EncodeQueryRequest(rect, QueryOptions{Read: ReadPreferReplica, MaxReplicaLag: 300}))
 	f.Add(EncodeQueryRequest(rect, QueryOptions{NoRollup: true}))
+	f.Add(append(EncodeQueryRequest(rect, QueryOptions{}), 0)) // NoRollup byte present but clear
 	f.Add(EncodeGroupByRequest(rect, 0, 1))
-	f.Add(EncodeGroupByRequestOpts(rect, 1, 0, QueryOptions{Read: ReadPreferReplica, NoRollup: true}))
+	f.Add(EncodeGroupByRequestOpts(rect, 1, 0, QueryOptions{NoRollup: true}))
 	f.Fuzz(func(t *testing.T, p []byte) {
 		if items, err := worker.DecodeItems(wire.NewReader(p), dims); err == nil {
 			b := EncodeItems(dims, items)

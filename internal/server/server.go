@@ -14,7 +14,6 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/coord"
@@ -84,15 +83,12 @@ type Server struct {
 	srv  *netmsg.Server
 	addr string
 
-	mu       sync.RWMutex
-	owners   map[image.ShardID]string     // shard -> worker ID
-	replicas map[image.ShardID][]string   // shard -> follower worker IDs
-	workers  map[string]*image.WorkerMeta // worker ID -> meta
-	down     map[string]struct{}          // workers whose registration vanished
-	conns    map[string]*netmsg.Client    // worker addr -> client
-	dirty    map[image.ShardID]struct{}   // locally grown shards awaiting push
-
-	rrSeq atomic.Uint64 // round-robin cursor for replica reads
+	mu      sync.RWMutex
+	owners  map[image.ShardID]string     // shard -> worker ID
+	workers map[string]*image.WorkerMeta // worker ID -> meta
+	down    map[string]struct{}          // workers whose registration vanished
+	conns   map[string]*netmsg.Client    // worker addr -> client
+	dirty   map[image.ShardID]struct{}   // locally grown shards awaiting push
 
 	fault *netmsg.FaultInjector
 
@@ -119,7 +115,6 @@ type Server struct {
 	partials *metrics.Counter      // server_partial_queries_total
 	downErrs *metrics.Counter      // server_worker_down_total
 
-	replicaReads *metrics.Counter // server_replica_reads_total
 	rollupRouted *metrics.Counter // server_rollup_routed_total
 }
 
@@ -159,7 +154,6 @@ func New(opts Options) (*Server, error) {
 		maxRetries: opts.MaxRetries,
 		idx:        image.NewIndex(cfg.Schema, cfg.Keys, cfg.MDSCap, 8),
 		owners:     make(map[image.ShardID]string),
-		replicas:   make(map[image.ShardID][]string),
 		workers:    make(map[string]*image.WorkerMeta),
 		down:       make(map[string]struct{}),
 		conns:      make(map[string]*netmsg.Client),
@@ -175,7 +169,6 @@ func New(opts Options) (*Server, error) {
 		partials:   reg.Counter("server_partial_queries_total").With(),
 		downErrs:   reg.Counter("server_worker_down_total").With(),
 	}
-	s.replicaReads = reg.Counter("server_replica_reads_total").With()
 	s.rollupRouted = reg.Counter("server_rollup_routed_total").With()
 	reg.GaugeFunc("server_down_workers", func() float64 {
 		s.mu.RLock()
@@ -258,11 +251,6 @@ func (s *Server) applyNode(path string, data []byte) {
 		}
 		s.mu.Lock()
 		s.owners[id] = meta.Worker
-		if len(meta.Replicas) > 0 {
-			s.replicas[id] = append([]string(nil), meta.Replicas...)
-		} else {
-			delete(s.replicas, id)
-		}
 		s.mu.Unlock()
 		return
 	}
@@ -593,10 +581,17 @@ func (s *Server) sendShardGroup(ctx context.Context, id image.ShardID, items []c
 	return fmt.Errorf("%w: shard %d after %d attempts: %v", ErrUnavailable, id, s.maxRetries+1, lastErr)
 }
 
+// QueryOptions tunes one query's read path.
+type QueryOptions struct {
+	// NoRollup forces the raw tree path even when a materialized rollup
+	// covers the query (exact-path benchmarking, debugging).
+	NoRollup bool
+}
+
 // QueryInfo describes the work a distributed query performed.
 type QueryInfo struct {
 	ShardsConsidered int // shards whose box touched the query
-	ShardsSearched   int // shards that actually contributed
+	ShardsSearched   int // shards that answered, whether or not anything matched
 	WorkersContacted int
 	// MissingShards lists shards whose data could not be reached (dead
 	// or unreachable workers) and is therefore absent from the
@@ -605,13 +600,6 @@ type QueryInfo struct {
 	// aggregate with a nil error; callers decide whether partial is
 	// acceptable by checking Partial().
 	MissingShards []image.ShardID
-	// ReplicaShards lists shards whose contribution came from a replica
-	// copy instead of the leader (only under ReadPreferReplica).
-	ReplicaShards []image.ShardID
-	// MaxReplicaLag is the largest lag, in shipped-but-unapplied WAL
-	// records, among the replica copies that served this query. Zero
-	// for leader-only reads.
-	MaxReplicaLag uint64
 	// RollupShards counts the searched shards answered from a
 	// materialized rollup table instead of their tree; RollupCells the
 	// rollup cells those answers merged.
@@ -645,10 +633,8 @@ func (qi QueryInfo) Source() string {
 
 // Query scatter-gathers an aggregate query across the workers owning the
 // overlapping shards (§III-B) and merges the partial aggregates; scatter
-// holds the retry and degradation policy. Under ReadPreferReplica a
-// single replica pre-pass runs first (see replica.go) and the leader
-// rounds cover whatever it left. A query that routes to no shard returns
-// the empty aggregate at once.
+// holds the retry and degradation policy. A query that routes to no
+// shard returns the empty aggregate at once.
 func (s *Server) Query(ctx context.Context, q keys.Rect, opts QueryOptions) (core.Aggregate, QueryInfo, error) {
 	ctx, cancel := s.opCtx(ctx)
 	defer cancel()
@@ -663,11 +649,7 @@ func (s *Server) Query(ctx context.Context, q keys.Rect, opts QueryOptions) (cor
 	if !opts.NoRollup {
 		defIdx = s.pickRollup(q, -1, 0)
 	}
-	contacted := make(map[string]struct{})
-	if opts.Read == ReadPreferReplica {
-		shards = s.replicaPrePass(ctx, q, shards, opts.MaxReplicaLag, &agg, &info, contacted)
-	}
-	err := s.scatter(ctx, "worker.query", shards, &info, contacted,
+	err := s.scatter(ctx, "worker.query", shards, &info,
 		func(ids []image.ShardID) []byte { return worker.EncodeQueryRequestRollup(q, ids, defIdx) },
 		func(resp []byte) error {
 			rep, err := worker.DecodeQueryReply(resp)
@@ -717,8 +699,8 @@ func (s *Server) pickRollup(q keys.Rect, groupDim, groupDepth int) int {
 //
 // One worker.groupby RPC per owning worker folds all its shards' groups
 // — from a covering rollup table where the configuration has one,
-// otherwise from the trees. Read preference is ignored: group-by always
-// reads leader copies. Retries and degradation are Query's (see scatter).
+// otherwise from the trees. Retries and degradation are Query's (see
+// scatter).
 func (s *Server) GroupBy(ctx context.Context, base keys.Rect, dim, level int, opts QueryOptions) ([]GroupResult, QueryInfo, error) {
 	ctx, cancel := s.opCtx(ctx)
 	defer cancel()
@@ -737,7 +719,7 @@ func (s *Server) GroupBy(ctx context.Context, base keys.Rect, dim, level int, op
 	shards := s.idx.RouteQuery(base)
 	info := QueryInfo{ShardsConsidered: len(shards)}
 	groups := make(map[uint64]core.Aggregate)
-	err := s.scatter(ctx, "worker.groupby", shards, &info, make(map[string]struct{}),
+	err := s.scatter(ctx, "worker.groupby", shards, &info,
 		func(ids []image.ShardID) []byte { return worker.EncodeGroupByRequest(base, dim, level, ids, defIdx) },
 		func(resp []byte) error {
 			rep, err := worker.DecodeGroupByReply(resp)
@@ -784,11 +766,11 @@ type GroupResult struct {
 	Agg   core.Aggregate
 }
 
-// scatter is the leader half of every read (§III-B, §III-E): it sends op
-// to the owners of shards, one request per worker built by encode, and
-// folds each successful reply with merge. merge runs on the caller's
-// goroutine, one reply at a time; an error from it (an undecodable
-// reply) fails that worker's shards like a dropped connection. Policy:
+// scatter runs every read (§III-B, §III-E): it sends op to the owners
+// of shards, one request per worker built by encode, and folds each
+// successful reply with merge. merge runs on the caller's goroutine,
+// one reply at a time; an error from it (an undecodable reply) fails
+// that worker's shards like a dropped connection. Policy:
 //
 //   - shards owned by workers the image has declared dead are not sent
 //     (one forced refresh at first sight covers a just-finished
@@ -801,13 +783,11 @@ type GroupResult struct {
 //     partial answer listed in info.MissingShards, or ErrUnavailable
 //     when nothing answered — an empty result would be indistinguishable
 //     from real data.
-//
-// contacted holds the workers a replica pre-pass already reached, and
-// info.ReplicaShards the shards it served.
 func (s *Server) scatter(ctx context.Context, op string, shards []image.ShardID, info *QueryInfo,
-	contacted map[string]struct{}, encode func([]image.ShardID) []byte, merge func(resp []byte) error) error {
+	encode func([]image.ShardID) []byte, merge func(resp []byte) error) error {
 	missing := make(map[image.ShardID]struct{})
-	served := len(info.ReplicaShards)
+	contacted := make(map[string]struct{})
+	served := 0
 	remaining := shards
 	var lastErr error
 	delay := 5 * time.Millisecond
@@ -1136,15 +1116,9 @@ func (s *Server) handleGroupBy(ctx context.Context, p []byte) ([]byte, error) {
 }
 
 // encodeReadOpts appends the read-options trailer server.query and
-// server.groupby share. Its fields are optional trailing extensions: a
-// request that ends before them means ReadLeader with rollups allowed
-// (the pre-replication format), so they are written only when they
-// differ from that, and NoRollup only when set.
+// server.groupby share: one optional NoRollup byte, written only when
+// set. A request that ends before it allows rollups.
 func encodeReadOpts(w *wire.Writer, opts QueryOptions) {
-	if opts.Read != ReadLeader || opts.MaxReplicaLag != 0 || opts.NoRollup {
-		w.Uint8(uint8(opts.Read))
-		w.Uvarint(opts.MaxReplicaLag)
-	}
 	if opts.NoRollup {
 		w.Uint8(1)
 	}
@@ -1154,10 +1128,6 @@ func encodeReadOpts(w *wire.Writer, opts QueryOptions) {
 func decodeReadOpts(r *wire.Reader) (QueryOptions, error) {
 	var opts QueryOptions
 	if r.Remaining() > 0 {
-		opts.Read = ReadPreference(r.Uint8())
-		opts.MaxReplicaLag = r.Uvarint()
-	}
-	if r.Err() == nil && r.Remaining() > 0 {
 		opts.NoRollup = r.Uint8() != 0
 	}
 	return opts, r.Err()
@@ -1221,17 +1191,12 @@ func encodeQueryInfo(w *wire.Writer, info QueryInfo) {
 	for _, id := range info.MissingShards {
 		w.Uvarint(uint64(id))
 	}
-	w.Uvarint(uint64(len(info.ReplicaShards)))
-	for _, id := range info.ReplicaShards {
-		w.Uvarint(uint64(id))
-	}
-	w.Uvarint(info.MaxReplicaLag)
 	w.Uvarint(uint64(info.RollupShards))
 	w.Uvarint(info.RollupCells)
 }
 
 // decodeQueryInfo reads a QueryInfo, tolerating replies from servers
-// predating the replica or rollup fields.
+// predating the rollup fields.
 func decodeQueryInfo(r *wire.Reader) QueryInfo {
 	info := QueryInfo{
 		ShardsConsidered: int(r.Uvarint()),
@@ -1243,15 +1208,6 @@ func decodeQueryInfo(r *wire.Reader) QueryInfo {
 		for i := uint64(0); i < n; i++ {
 			info.MissingShards = append(info.MissingShards, image.ShardID(r.Uvarint()))
 		}
-	}
-	if r.Err() == nil && r.Remaining() > 0 {
-		if n := r.Uvarint(); n > 0 && r.Err() == nil {
-			info.ReplicaShards = make([]image.ShardID, 0, n)
-			for i := uint64(0); i < n; i++ {
-				info.ReplicaShards = append(info.ReplicaShards, image.ShardID(r.Uvarint()))
-			}
-		}
-		info.MaxReplicaLag = r.Uvarint()
 	}
 	if r.Err() == nil && r.Remaining() > 0 {
 		info.RollupShards = int(r.Uvarint())

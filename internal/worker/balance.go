@@ -187,6 +187,7 @@ func (w *Worker) SplitShard(id, newID image.ShardID) (*SplitResult, error) {
 	// readers and writers.
 	st.roll = rollup.Rebuild(w.cfg.Schema, w.cfg.Rollups, left.Items)
 	newState.roll = rollup.Rebuild(w.cfg.Schema, w.cfg.Rollups, right.Items)
+	st.setGauges()
 
 	// Make the flip durable while the write lock still excludes inserts:
 	// adopt the right half under its new identity, then seal the original
@@ -208,11 +209,13 @@ func (w *Worker) SplitShard(id, newID image.ShardID) (*SplitResult, error) {
 			// report failure so the mapping table never flips.
 			right.Items(func(it core.Item) bool { _ = left.Insert(it); return true })
 			st.roll = rollup.Rebuild(w.cfg.Schema, w.cfg.Rollups, left.Items)
+			st.setGauges()
 			st.mu.Unlock()
 			return nil, durErr
 		}
 	}
 	st.mu.Unlock()
+	newState.setGauges()
 
 	w.mu.Lock()
 	w.shards[newID] = newState
@@ -337,7 +340,7 @@ func (w *Worker) SendShard(id image.ShardID, destAddr string) (uint64, error) {
 			st.store = nil
 			st.queue = nil
 			st.roll = nil
-			st.rollCells.Set(0)
+			st.setGauges()
 			st.forward = destAddr
 			st.mu.Unlock()
 			// The destination has acknowledged the full copy (snapshot +
@@ -412,6 +415,7 @@ func (w *Worker) handleReceiveShard(_ context.Context, p []byte) ([]byte, error)
 		st.store = store
 		st.roll = roll
 		st.forward = ""
+		st.setGauges()
 		st.mu.Unlock()
 		return nil, nil
 	}
@@ -421,6 +425,7 @@ func (w *Worker) handleReceiveShard(_ context.Context, p []byte) ([]byte, error)
 	st := w.newShardState(id)
 	st.store = store
 	st.roll = roll
+	st.setGauges()
 	w.shards[id] = st
 	return nil, nil
 }

@@ -71,6 +71,7 @@ func (w *Worker) AttachDurability(d *durable.Log) (*durable.Recovery, error) {
 		} else if len(w.cfg.Rollups) > 0 {
 			st.roll = rollup.Rebuild(w.cfg.Schema, w.cfg.Rollups, store.Items)
 		}
+		st.setGauges()
 		w.shards[sid] = st
 	}
 	w.dur = d

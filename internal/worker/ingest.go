@@ -254,6 +254,7 @@ func (w *Worker) drainBuffer(st *shardState) {
 				st.roll.Add(batch)
 			}
 		}
+		st.setGauges()
 		st.mu.Unlock()
 		w.ingestItems.Add(-float64(len(batch)))
 		w.drainBatch.Record(time.Duration(len(batch)) * time.Microsecond)
@@ -272,6 +273,7 @@ func (w *Worker) drainLocked(st *shardState) {
 	for {
 		batch := st.buf.take(1 << 30)
 		if len(batch) == 0 {
+			st.setGauges()
 			return
 		}
 		target := st.store

@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/durable"
 	"repro/internal/image"
-	"repro/internal/keys"
 	"repro/internal/metrics"
 	"repro/internal/rollup"
 	"repro/internal/wire"
@@ -247,6 +246,7 @@ func (w *Worker) Promote(id image.ShardID) (uint64, error) {
 			st.store = store
 			st.roll = roll
 			st.forward = ""
+			st.setGauges()
 		}
 		st.mu.Unlock()
 		if occupied {
@@ -259,6 +259,7 @@ func (w *Worker) Promote(id image.ShardID) (uint64, error) {
 		st := w.newShardState(id)
 		st.store = store
 		st.roll = roll
+		st.setGauges()
 		w.shards[id] = st
 	}
 	w.mu.Unlock()
@@ -289,7 +290,7 @@ func (w *Worker) Demote(id image.ShardID, destAddr string) error {
 	teardownReplLocked(st)
 	st.store = nil
 	st.roll = nil
-	st.rollCells.Set(0)
+	st.setGauges()
 	st.forward = destAddr
 	st.mu.Unlock()
 	if w.dur != nil {
@@ -555,110 +556,4 @@ func (w *Worker) handleDemote(_ context.Context, p []byte) ([]byte, error) {
 		return nil, r.Err()
 	}
 	return nil, w.Demote(id, dest)
-}
-
-// --- replica-served queries ------------------------------------------------
-
-// EncodeReplicaQueryRequest builds the payload for worker.queryreplica.
-func EncodeReplicaQueryRequest(q keys.Rect, shards []image.ShardID, maxLag uint64) []byte {
-	w := wire.NewWriter(64)
-	q.Encode(w)
-	w.Uvarint(maxLag)
-	encodeShardIDs(w, shards)
-	return w.Bytes()
-}
-
-// decodeReplicaQueryRequest parses a worker.queryreplica payload.
-func decodeReplicaQueryRequest(p []byte, dims int) (q keys.Rect, ids []image.ShardID, maxLag uint64, err error) {
-	r := wire.NewReader(p)
-	if q, err = DecodeRect(r, dims); err != nil {
-		return keys.Rect{}, nil, 0, err
-	}
-	maxLag = r.Uvarint()
-	if ids, err = decodeShardIDs(r); err != nil {
-		return keys.Rect{}, nil, 0, err
-	}
-	return q, ids, maxLag, nil
-}
-
-// ReplicaQueryReply is the decoded result of worker.queryreplica.
-type ReplicaQueryReply struct {
-	Agg    core.Aggregate
-	Served []image.ShardID
-	MaxLag uint64 // highest watermark distance among the served shards
-}
-
-// DecodeReplicaQueryReply parses a worker.queryreplica response.
-func DecodeReplicaQueryReply(b []byte) (ReplicaQueryReply, error) {
-	r := wire.NewReader(b)
-	agg, err := core.DecodeAggregate(r)
-	if err != nil {
-		return ReplicaQueryReply{}, err
-	}
-	rep := ReplicaQueryReply{Agg: agg}
-	if rep.Served, err = decodeShardIDs(r); err != nil {
-		return ReplicaQueryReply{}, err
-	}
-	rep.MaxLag = r.Uvarint()
-	return rep, r.Err()
-}
-
-// QueryReplicas answers a bounded-staleness read from standby state:
-// each requested shard is served from its local standby when the lag
-// watermark is within maxLag — or from the owned store if this worker
-// was promoted meanwhile — and skipped otherwise. Skipped shards are
-// simply absent from Served; the caller falls back to the leader.
-func (w *Worker) QueryReplicas(ctx context.Context, q keys.Rect, ids []image.ShardID, maxLag uint64) (ReplicaQueryReply, error) {
-	rep := ReplicaQueryReply{Agg: core.NewAggregate()}
-	for _, id := range ids {
-		if err := ctx.Err(); err != nil {
-			return ReplicaQueryReply{}, err
-		}
-		if rs := w.replica(id); rs != nil {
-			lag := rs.lagRecords()
-			if lag > maxLag {
-				continue
-			}
-			rs.mu.RLock()
-			if !rs.promoted {
-				part := rs.store.Query(q)
-				rs.mu.RUnlock()
-				rep.Agg.Merge(part)
-				rep.Served = append(rep.Served, id)
-				if lag > rep.MaxLag {
-					rep.MaxLag = lag
-				}
-				continue
-			}
-			rs.mu.RUnlock()
-		}
-		// Promoted (or owned for any other reason): the local store is the
-		// leader copy — serve it at lag zero instead of bouncing the
-		// caller back to a dead old primary.
-		if st := w.shard(id); st != nil {
-			ans, err := w.queryOneShard(ctx, id, q, 1, -1)
-			if err != nil || !ans.ok {
-				continue
-			}
-			rep.Agg.Merge(ans.agg)
-			rep.Served = append(rep.Served, id)
-		}
-	}
-	return rep, nil
-}
-
-func (w *Worker) handleQueryReplica(ctx context.Context, p []byte) ([]byte, error) {
-	q, ids, maxLag, err := decodeReplicaQueryRequest(p, w.cfg.Schema.NumDims())
-	if err != nil {
-		return nil, err
-	}
-	rep, err := w.QueryReplicas(ctx, q, ids, maxLag)
-	if err != nil {
-		return nil, err
-	}
-	out := wire.NewWriter(48 + 4*len(rep.Served))
-	rep.Agg.Encode(out)
-	encodeShardIDs(out, rep.Served)
-	out.Uvarint(rep.MaxLag)
-	return out.Bytes(), nil
 }

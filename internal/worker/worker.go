@@ -286,7 +286,6 @@ func (w *Worker) Listen(addr string) (string, error) {
 	srv.Handle("worker.replicastatus", w.handleReplStatus)
 	srv.Handle("worker.promote", w.handlePromote)
 	srv.Handle("worker.demote", w.handleDemote)
-	srv.Handle("worker.queryreplica", w.handleQueryReplica)
 	srv.Handle("worker.ping", func(context.Context, []byte) ([]byte, error) { return []byte("pong"), nil })
 	bound, err := srv.Listen(addr)
 	if err != nil {
@@ -319,8 +318,9 @@ func (w *Worker) StartStats(publish func(*image.WorkerMeta), interval time.Durat
 	}()
 }
 
-// Meta snapshots the worker's statistics and refreshes the per-shard
-// item-count gauges as a side effect (it runs on the stats interval).
+// Meta snapshots the worker's statistics. It also re-publishes the
+// per-shard gauges, which settles any out-of-order Set between
+// concurrent inserts under the shard read lock (see setGauges).
 func (w *Worker) Meta() *image.WorkerMeta {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
@@ -332,14 +332,26 @@ func (w *Worker) Meta() *image.WorkerMeta {
 			m.Shards++
 			m.Items += n
 			m.MemBytes += st.store.MemoryBytes()
-			st.items.Set(float64(n))
-			if st.roll != nil {
-				st.rollCells.Set(float64(st.roll.Cells()))
-			}
+			st.setGauges()
 		}
 		st.mu.RUnlock()
 	}
 	return m
+}
+
+// setGauges publishes the shard's worker_shard_items and rollup_cells
+// gauges (both zero once the store is gone). Every path that changes the
+// shard's containers or rollup tables calls it under the shard lock it
+// already holds, so a scrape after a drain, split, migration, promotion
+// or demotion needs no stats tick.
+func (st *shardState) setGauges() {
+	var items, cells float64
+	if st.store != nil {
+		items = float64(shardItemsLocked(st))
+		cells = float64(st.roll.Cells())
+	}
+	st.items.Set(items)
+	st.rollCells.Set(cells)
 }
 
 // shardItemsLocked counts a shard's items across store, queue and
@@ -716,6 +728,7 @@ func (w *Worker) Insert(ctx context.Context, id image.ShardID, items []core.Item
 			return err
 		}
 		st.roll.Add(items)
+		st.setGauges()
 		if err := w.appendInsert(id, items); err != nil {
 			return err
 		}
@@ -768,6 +781,7 @@ func (w *Worker) handleBulkLoad(ctx context.Context, p []byte) ([]byte, error) {
 		return nil, err
 	}
 	st.roll.Add(items)
+	st.setGauges()
 	if err := w.appendInsert(id, items); err != nil {
 		return nil, err
 	}

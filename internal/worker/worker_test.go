@@ -153,10 +153,8 @@ func TestHostileRequests(t *testing.T) {
 	}{
 		{"worker.query count", w.handleQuery, hostileCount(func(*wire.Writer) {})},
 		{"worker.groupby count", w.handleGroupBy, hostileCount(func(b *wire.Writer) { b.Uvarint(0); b.Uvarint(0) })}, // dim, level
-		{"worker.queryreplica count", w.handleQueryReplica, hostileCount(func(b *wire.Writer) { b.Uvarint(0) })},     // max lag
 		{"worker.query rect", w.handleQuery, EncodeQueryRequest(oneDim, shard)},
 		{"worker.groupby rect", w.handleGroupBy, EncodeGroupByRequest(oneDim, 1, 0, shard, -1)},
-		{"worker.queryreplica rect", w.handleQueryReplica, EncodeReplicaQueryRequest(oneDim, shard, 0)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {

@@ -309,6 +309,9 @@ func TestRollupStaleness(t *testing.T) {
 	opts := testOptions(t)
 	opts.Rollups = []RollupDef{mustRollup(t, opts.Schema, "all"), mustRollup(t, opts.Schema, "A:1")}
 	opts.IngestWorkers = 1
+	// No stats tick during the test: the gauges must be set by the
+	// drain itself.
+	opts.StatsInterval = time.Hour
 	c, err := Start(opts)
 	if err != nil {
 		t.Fatal(err)

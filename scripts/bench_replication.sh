@@ -1,18 +1,9 @@
 #!/bin/sh
-# Runs the shard-replication benchmarks and emits BENCH_replication.json:
-# hot-shard read throughput at RF=1 (leader-only reads) vs RF=2 with
-# ReadPreferReplica, plus the measured failover window (manager promotion
-# pass through the first complete query answer, detection TTL factored
-# out by a fake clock).
-#
-# The read workload is a point query against one hot shard that holds a
-# standing ~60k-item ingest backlog, refilled between timed sections so
-# the write stream is untimed and identical in both configurations. A
-# leader read merges store + pending insertion buffer (an O(backlog)
-# scan); a standby holds applied-only state because records ship and
-# apply at ack time, so replica-preferring reads skip the backlog on the
-# follower copy. This is a read-path asymmetry, not core parallelism —
-# the numbers here come from a single-CPU host (cpus is recorded).
+# Runs the shard-replication failover benchmark and emits
+# BENCH_replication.json: the window from the manager promotion pass to
+# the first complete query answer at RF=2 after one of two workers is
+# killed (detection TTL factored out by a fake clock). The header records
+# cpus, GOMAXPROCS, the commit and the Go version the number was taken on.
 #
 # Usage: scripts/bench_replication.sh [output.json]   (default BENCH_replication.json)
 set -eu
@@ -20,17 +11,18 @@ set -eu
 cd "$(dirname "$0")/.."
 
 OUT=${1:-BENCH_replication.json}
-BENCHTIME=${BENCHTIME:-200x}
 CPUS=$(getconf _NPROCESSORS_ONLN 2>/dev/null || nproc 2>/dev/null || echo 1)
-RAW=$(mktemp)
+PROCS=${GOMAXPROCS:-$(nproc 2>/dev/null || echo "$CPUS")}
+COMMIT=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
+if [ -n "$(git status --porcelain 2>/dev/null)" ]; then
+	COMMIT="$COMMIT-dirty"
+fi
+GOVERSION=$(go env GOVERSION)
 FAILOVER=$(mktemp)
-trap 'rm -f "$RAW" "$FAILOVER"' EXIT INT TERM
-
-echo "bench_replication: running go test -bench BenchmarkReplicaRead -benchtime $BENCHTIME"
-go test -bench 'BenchmarkReplicaRead' -benchtime "$BENCHTIME" -run '^$' . | tee "$RAW"
+trap 'rm -f "$FAILOVER"' EXIT INT TERM
 
 echo "bench_replication: running go test -run TestReplicationFailoverTime"
-go test -v -run 'TestReplicationFailoverTime' . | tee "$FAILOVER"
+go test -count=1 -v -run 'TestReplicationFailoverTime' . | tee "$FAILOVER"
 
 MS=$(sed -n 's/^failover_ms=//p' "$FAILOVER" | head -n 1)
 if [ -z "$MS" ]; then
@@ -38,35 +30,19 @@ if [ -z "$MS" ]; then
 	exit 1
 fi
 
-awk -v cpus="$CPUS" -v failover_ms="$MS" '
-/^BenchmarkReplicaRead\// {
-	name = $1
-	sub(/^BenchmarkReplicaRead\//, "", name)
-	sub(/-[0-9]+$/, "", name)          # strip GOMAXPROCS suffix
-	ns = 0
-	for (i = 2; i <= NF; i++) if ($i == "ns/op") ns = $(i - 1)
-	if (ns > 0) { read[name] = ns; order[n++] = name }
+cat >"$OUT" <<EOF
+{
+  "benchmark": "ShardReplication",
+  "cpus": $CPUS,
+  "gomaxprocs": $PROCS,
+  "commit": "$COMMIT",
+  "go_version": "$GOVERSION",
+  "failover": {
+    "unit": "RF=2, one of two workers killed; window from the manager promotion pass to the first complete (non-partial, exact-count) query; session-TTL detection excluded via a fake clock",
+    "promotion_to_full_reads_ms": $MS
+  }
 }
-END {
-	if (!("rf1-leader" in read) || !("rf2-replica" in read)) {
-		print "bench_replication: missing benchmark lines" > "/dev/stderr"; exit 1
-	}
-	printf "{\n  \"benchmark\": \"ShardReplication\",\n  \"cpus\": %d,\n", cpus
-	printf "  \"read_throughput\": {\n"
-	printf "    \"unit\": \"one op = one point query against a hot shard holding a ~60k-item standing ingest backlog; the write stream refilling the backlog is untimed and identical in both configs\",\n"
-	base = read["rf1-leader"]
-	for (i = 0; i < n; i++) {
-		m = order[i]
-		printf "    \"%s\": {\"ns_per_query\": %.0f, \"queries_per_sec\": %.1f, \"speedup_vs_rf1\": %.2f}%s\n",
-			m, read[m], 1e9 / read[m], base / read[m], (i < n - 1 ? "," : "")
-	}
-	printf "  },\n"
-	printf "  \"failover\": {\n"
-	printf "    \"unit\": \"RF=2, one of two workers killed; window from the manager promotion pass to the first complete (non-partial, exact-count) query; session-TTL detection excluded via a fake clock\",\n"
-	printf "    \"promotion_to_full_reads_ms\": %d\n", failover_ms
-	printf "  }\n}\n"
-}
-' "$RAW" >"$OUT"
+EOF
 
 echo "bench_replication: wrote $OUT"
 cat "$OUT"

@@ -89,11 +89,8 @@ type (
 	// ShipLink describes one outgoing replication stream of a primary
 	// (see WorkerStats.ShipLinks).
 	ShipLink = worker.ShipLink
-	// ReadPreference selects which copies of a shard a query may read:
-	// ReadLeader (default) or ReadPreferReplica.
-	ReadPreference = server.ReadPreference
 	// QueryOptions tunes one query's read path; Query fills it from
-	// WithReadPref, WithMaxLag and WithNoRollup.
+	// WithNoRollup.
 	QueryOptions = server.QueryOptions
 	// RollupDef selects a materialized rollup: one retained hierarchy
 	// depth per dimension (0 = aggregated away). See Options.Rollups.
@@ -132,23 +129,6 @@ const (
 	DurabilityAsync = durable.ModeAsync
 	DurabilitySync  = durable.ModeSync
 )
-
-// Read preferences for queries (see ClientOptions.ReadPreference and
-// WithReadPref).
-const (
-	// ReadLeader routes every shard read to the shard's primary.
-	ReadLeader = server.ReadLeader
-	// ReadPreferReplica spreads shard reads round-robin across each
-	// shard's copies (followers and leader), falling back to the leader
-	// for copies that are unreachable or lagging beyond the staleness
-	// bound.
-	ReadPreferReplica = server.ReadPreferReplica
-)
-
-// DefaultMaxReplicaLag is the staleness bound, in shipped-but-unapplied
-// WAL records, a ReadPreferReplica query tolerates unless it sets its
-// own.
-const DefaultMaxReplicaLag = server.DefaultMaxReplicaLag
 
 // Answer sources reported by QueryInfo.Source(): every searched shard
 // answered from a materialized rollup table, none did, or some mix.
@@ -879,7 +859,7 @@ const (
 )
 
 // ClientOptions holds one client session's settings; Connect fills it
-// from functional options (WithRequestTimeout, WithReadPreference, ...).
+// from functional options (WithRequestTimeout, WithMaxRetries, ...).
 type ClientOptions struct {
 	// RequestTimeout bounds each operation whose context has no deadline
 	// (default 10 s; negative disables the bound entirely).
@@ -892,14 +872,6 @@ type ClientOptions struct {
 	// (netmsg_request_seconds, reconnect counters). When nil the client
 	// creates a private registry, reachable via Client.Metrics().
 	Metrics *metrics.Registry
-	// ReadPreference is the session's default query read path: ReadLeader
-	// (zero value) or ReadPreferReplica. Individual queries override it
-	// with WithReadPref.
-	ReadPreference ReadPreference
-	// MaxReplicaLag is the session's default staleness bound for replica
-	// reads, in shipped-but-unapplied WAL records (0 = the server's
-	// DefaultMaxReplicaLag). Ignored under ReadLeader.
-	MaxReplicaLag uint64
 }
 
 // ClientOption configures one aspect of a client session (see Connect).
@@ -923,17 +895,6 @@ func WithMetrics(reg *Registry) ClientOption {
 	return func(o *ClientOptions) { o.Metrics = reg }
 }
 
-// WithReadPreference sets the session's default query read path.
-func WithReadPreference(p ReadPreference) ClientOption {
-	return func(o *ClientOptions) { o.ReadPreference = p }
-}
-
-// WithMaxReplicaLag sets the session's default staleness bound for
-// replica reads, in shipped-but-unapplied WAL records.
-func WithMaxReplicaLag(n uint64) ClientOption {
-	return func(o *ClientOptions) { o.MaxReplicaLag = n }
-}
-
 func (o *ClientOptions) defaults() {
 	if o.RequestTimeout == 0 {
 		o.RequestTimeout = DefaultRequestTimeout
@@ -951,22 +912,18 @@ func (o *ClientOptions) defaults() {
 
 // Client is a session attached to one server.
 type Client struct {
-	c        *netmsg.Client
-	dims     int
-	hash     uint64 // schema fingerprint from the handshake
-	retries  int
-	reg      *metrics.Registry
-	readPref ReadPreference
-	maxLag   uint64
+	c       *netmsg.Client
+	dims    int
+	hash    uint64 // schema fingerprint from the handshake
+	retries int
+	reg     *metrics.Registry
 }
 
 // Connect attaches a client session to a server address. The schema's
 // dimension count is learned from the server.hello handshake, so the
 // caller needs nothing beyond the address:
 //
-//	client, err := volap.Connect(addr,
-//	    volap.WithRequestTimeout(2*time.Second),
-//	    volap.WithReadPreference(volap.ReadPreferReplica))
+//	client, err := volap.Connect(addr, volap.WithRequestTimeout(2*time.Second))
 func Connect(addr string, options ...ClientOption) (*Client, error) {
 	var opts ClientOptions
 	for _, apply := range options {
@@ -991,10 +948,7 @@ func Connect(addr string, options ...ClientOption) (*Client, error) {
 		nc.Close()
 		return nil, fmt.Errorf("volap: handshake with %s: %w", addr, err)
 	}
-	return &Client{
-		c: nc, dims: h.Dims, hash: h.ConfigHash, retries: opts.MaxRetries, reg: reg,
-		readPref: opts.ReadPreference, maxLag: opts.MaxReplicaLag,
-	}, nil
+	return &Client{c: nc, dims: h.Dims, hash: h.ConfigHash, retries: opts.MaxRetries, reg: reg}, nil
 }
 
 // Dims returns the schema dimension count the session encodes items
@@ -1119,8 +1073,7 @@ type queryPlan struct {
 	level   int
 }
 
-// QueryOption shapes one Query call (WithGroupBy, WithReadPref,
-// WithMaxLag, WithNoRollup).
+// QueryOption shapes one Query call (WithGroupBy, WithNoRollup).
 type QueryOption func(*queryPlan)
 
 // WithGroupBy turns the query into a grouped aggregate: one result per
@@ -1130,18 +1083,6 @@ func WithGroupBy(dim, level int) QueryOption {
 	return func(p *queryPlan) { p.groupBy = true; p.dim = dim; p.level = level }
 }
 
-// WithReadPref overrides the session's read preference for this query.
-func WithReadPref(pref ReadPreference) QueryOption {
-	return func(p *queryPlan) { p.opts.Read = pref }
-}
-
-// WithMaxLag bounds how many shipped-but-unapplied WAL records a
-// replica copy may be behind and still serve this query (only
-// meaningful under ReadPreferReplica).
-func WithMaxLag(n uint64) QueryOption {
-	return func(p *queryPlan) { p.opts.MaxReplicaLag = n }
-}
-
 // WithNoRollup forces the raw tree path even when a materialized rollup
 // covers the query (exact-path benchmarking, debugging).
 func WithNoRollup() QueryOption {
@@ -1149,8 +1090,7 @@ func WithNoRollup() QueryOption {
 }
 
 // Query is the session's one aggregate-query surface. Bare, it returns
-// the aggregate over q under the session's read preference; options
-// refine it:
+// the aggregate over q; options refine it:
 //
 //	res, err := client.Query(ctx, q)                          // aggregate
 //	res, err := client.Query(ctx, q, volap.WithGroupBy(0, 1)) // grouped
@@ -1159,7 +1099,7 @@ func WithNoRollup() QueryOption {
 // Result.Info reports the work performed, including which data path
 // answered (Info.Source()) and any shards missing from the answer.
 func (cl *Client) Query(ctx context.Context, q Rect, options ...QueryOption) (*Result, error) {
-	plan := queryPlan{opts: QueryOptions{Read: cl.readPref, MaxReplicaLag: cl.maxLag}}
+	var plan queryPlan
 	for _, apply := range options {
 		apply(&plan)
 	}
