@@ -81,6 +81,28 @@ func (a *arrayStore) QueryWithStats(q keys.Rect) (Aggregate, QueryStats) {
 	return agg, st
 }
 
+// GroupQuery is one linear pass over the items, or the cached
+// aggregate when the whole store lies inside base and one group.
+func (a *arrayStore) GroupQuery(base keys.Rect, dim int, span uint64, out map[uint64]Aggregate) QueryStats {
+	a.mu.RLock()
+	defer a.mu.RUnlock()
+	st := QueryStats{NodesVisited: 1}
+	g := newGroups(base, dim, span, a.key)
+	if g == nil {
+		return st
+	}
+	inBase := a.key.CoveredByRect(base)
+	if g.covered(a.key, a.agg, inBase) {
+		st.CoveredNodes = 1
+	} else {
+		st.LeavesScanned = 1
+		st.ItemsScanned = len(a.items)
+		g.addItems(a.items, inBase)
+	}
+	g.flush(out)
+	return st
+}
+
 func (a *arrayStore) Count() uint64 {
 	a.mu.RLock()
 	defer a.mu.RUnlock()

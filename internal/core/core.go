@@ -77,6 +77,17 @@ func (a *Aggregate) Merge(b Aggregate) {
 	}
 }
 
+// MergeGroup folds a into out[v], starting from the identity aggregate
+// when the group is absent.
+func MergeGroup(out map[uint64]Aggregate, v uint64, a Aggregate) {
+	cur, ok := out[v]
+	if !ok {
+		cur = NewAggregate()
+	}
+	cur.Merge(a)
+	out[v] = cur
+}
+
 // Avg returns Sum/Count, or 0 for an empty aggregate.
 func (a Aggregate) Avg() float64 {
 	if a.Count == 0 {
@@ -222,6 +233,12 @@ type Store interface {
 	Query(q keys.Rect) Aggregate
 	// QueryWithStats is Query with traversal statistics.
 	QueryWithStats(q keys.Rect) (Aggregate, QueryStats)
+	// GroupQuery aggregates the items inside base per group of
+	// dimension dim — group v holds the ordinals [v*span,
+	// v*span+span-1], span >= 1 — in one pass, and merges every
+	// non-empty group into out[v]. Each group's aggregate equals
+	// Query over base clipped to the group, bit for bit.
+	GroupQuery(base keys.Rect, dim int, span uint64, out map[uint64]Aggregate) QueryStats
 	// Count returns the number of items.
 	Count() uint64
 	// Key returns a snapshot of the store's bounding key.

@@ -364,13 +364,7 @@ func (t *Table) GroupBy(q keys.Rect, dim int, groupSpan uint64, out map[uint64]c
 	n := 0
 	t.mu.Lock()
 	t.scan(q, func(grid []uint64, cell core.Aggregate) {
-		v := grid[dim] * t.spans[dim] / groupSpan
-		agg, ok := out[v]
-		if !ok {
-			agg = core.NewAggregate()
-		}
-		agg.Merge(cell)
-		out[v] = agg
+		core.MergeGroup(out, grid[dim]*t.spans[dim]/groupSpan, cell)
 		n++
 	})
 	t.mu.Unlock()

@@ -695,7 +695,9 @@ func (s *Server) pickRollup(q keys.Rect, groupDim, groupDepth int) int {
 // Level l must be a valid level index of the dimension (0-based); the
 // base rectangle's interval in that dimension must cover the grouped
 // values' parent region (typically the All interval). The result holds
-// every level value inside the base interval, empty ones included.
+// every level value inside the base interval, empty ones included; that
+// interval is clamped to the dimension's leaves, and one empty there is
+// an error (see worker.CheckGroupBy).
 //
 // One worker.groupby RPC per owning worker folds all its shards' groups
 // — from a covering rollup table where the configuration has one,
@@ -705,12 +707,9 @@ func (s *Server) GroupBy(ctx context.Context, base keys.Rect, dim, level int, op
 	ctx, cancel := s.opCtx(ctx)
 	defer cancel()
 	defer s.instrument(ctx, "groupby")()
-	if dim < 0 || dim >= s.cfg.Schema.NumDims() {
-		return nil, QueryInfo{}, fmt.Errorf("server: group-by dimension %d out of range", dim)
-	}
-	d := s.cfg.Schema.Dim(dim)
-	if level < 0 || level >= d.Depth() {
-		return nil, QueryInfo{}, fmt.Errorf("server: group-by level %d out of range for %s", level, d.Name())
+	base, span, err := worker.CheckGroupBy(s.cfg.Schema, base, dim, level)
+	if err != nil {
+		return nil, QueryInfo{}, fmt.Errorf("server: %w", err)
 	}
 	defIdx := -1
 	if !opts.NoRollup {
@@ -719,7 +718,7 @@ func (s *Server) GroupBy(ctx context.Context, base keys.Rect, dim, level int, op
 	shards := s.idx.RouteQuery(base)
 	info := QueryInfo{ShardsConsidered: len(shards)}
 	groups := make(map[uint64]core.Aggregate)
-	err := s.scatter(ctx, "worker.groupby", shards, &info,
+	err = s.scatter(ctx, "worker.groupby", shards, &info,
 		func(ids []image.ShardID) []byte { return worker.EncodeGroupByRequest(base, dim, level, ids, defIdx) },
 		func(resp []byte) error {
 			rep, err := worker.DecodeGroupByReply(resp)
@@ -727,12 +726,7 @@ func (s *Server) GroupBy(ctx context.Context, base keys.Rect, dim, level int, op
 				return err
 			}
 			for v, agg := range rep.Groups {
-				cur, ok := groups[v]
-				if !ok {
-					cur = core.NewAggregate()
-				}
-				cur.Merge(agg)
-				groups[v] = cur
+				core.MergeGroup(groups, v, agg)
 			}
 			info.ShardsSearched += int(rep.ShardsSearched)
 			info.RollupShards += int(rep.RollupShards)
@@ -745,7 +739,6 @@ func (s *Server) GroupBy(ctx context.Context, base keys.Rect, dim, level int, op
 	// Workers return sparse groups; materialize every level value inside
 	// the base interval, empty aggregates included, matching the
 	// per-value query semantics this API always had.
-	span := d.LeavesUnder(level + 1)
 	first := base.Ivs[dim].Lo / span
 	last := base.Ivs[dim].Hi / span
 	out := make([]GroupResult, 0, last-first+1)

@@ -327,6 +327,8 @@ func TestHostileRequests(t *testing.T) {
 	count := wire.NewWriter(16)
 	count.Uvarint(1 << 62)
 	oneDim := keys.NewRect(hierarchy.Interval{Lo: 0, Hi: 99})
+	inverted := keys.NewRect(hierarchy.Interval{Lo: 50, Hi: 10}, hierarchy.Interval{Lo: 0, Hi: 39})
+	pastEnd := keys.NewRect(hierarchy.Interval{Lo: 100, Hi: 1 << 20}, hierarchy.Interval{Lo: 0, Hi: 39})
 	for _, tc := range []struct {
 		name    string
 		handle  netmsg.Handler
@@ -336,6 +338,8 @@ func TestHostileRequests(t *testing.T) {
 		{"server.bulkload count", s.handleBulkLoad, count.Bytes()},
 		{"server.query rect", s.handleQuery, EncodeQueryRequest(oneDim, QueryOptions{})},
 		{"server.groupby rect", s.handleGroupBy, EncodeGroupByRequest(oneDim, 1, 0)},
+		{"server.groupby lo>hi", s.handleGroupBy, EncodeGroupByRequest(inverted, 0, 0)},
+		{"server.groupby lo past last leaf", s.handleGroupBy, EncodeGroupByRequest(pastEnd, 0, 0)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {
@@ -347,6 +351,23 @@ func TestHostileRequests(t *testing.T) {
 				t.Fatalf("accepted a %d-byte hostile payload", len(tc.payload))
 			}
 		})
+	}
+	// A grouped interval running far past the dimension's leaves is
+	// clamped: one group per level value, not one per Hi/span.
+	resp, err := s.handleGroupBy(context.Background(), EncodeGroupByRequest(
+		keys.NewRect(hierarchy.Interval{Lo: 0, Hi: 1 << 20}, hierarchy.Interval{Lo: 0, Hi: 39}), 0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups, _, err := DecodeGroupByResponse(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(groups) != 10 {
+		t.Fatalf("clamped group-by: %d groups, want 10", len(groups))
+	}
+	if groups[0].Agg.Count != 1 {
+		t.Fatalf("clamped group-by: group 0 = %v, want the one inserted item", groups[0].Agg)
 	}
 }
 

@@ -3,6 +3,7 @@ package worker
 import (
 	"context"
 	"errors"
+	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/hierarchy"
@@ -16,10 +17,10 @@ import (
 // instead of the server issuing one worker.query per level value. A
 // shard whose rollup table retains the grouped dimension at or below
 // the requested level answers at cell granularity; everything else
-// falls back to per-value tree queries. Either way the shard's
-// insertion buffer and split/migration queue fold in item by item under
-// the same read-lock hold the plain query path uses, so group-by sees
-// exactly the acknowledged items.
+// walks the shard's tree once (core.Store.GroupQuery). Either way the
+// shard's split/migration queue (one more GroupQuery) and insertion
+// buffer (item by item) fold in under the same read-lock hold the plain
+// query path uses, so group-by sees exactly the acknowledged items.
 
 // EncodeGroupByRequest builds the payload for worker.groupby. defIdx is
 // the cluster rollup definition shards may answer from (-1 forces the
@@ -111,18 +112,41 @@ func (w *Worker) handleGroupBy(ctx context.Context, p []byte) ([]byte, error) {
 	return encodeGroupByReply(rep), nil
 }
 
+// CheckGroupBy validates a group-by of base by the values of dim's
+// level against the schema, and returns base with its interval on dim
+// clamped to the dimension's last leaf, together with the number of
+// leaves under one group value. A base interval that is empty there
+// (Lo > Hi, or Lo past the last leaf) is rejected: without the clamp a
+// hostile Hi would make one group per value up to it.
+func CheckGroupBy(s *hierarchy.Schema, base keys.Rect, dim, level int) (keys.Rect, uint64, error) {
+	if len(base.Ivs) != s.NumDims() {
+		return keys.Rect{}, 0, fmt.Errorf("group-by base has %d dimensions, schema has %d", len(base.Ivs), s.NumDims())
+	}
+	if dim < 0 || dim >= s.NumDims() {
+		return keys.Rect{}, 0, fmt.Errorf("group-by dimension %d out of range", dim)
+	}
+	d := s.Dim(dim)
+	if level < 0 || level >= d.Depth() {
+		return keys.Rect{}, 0, fmt.Errorf("group-by level %d out of range for %s", level, d.Name())
+	}
+	iv := base.Ivs[dim]
+	iv.Hi = min(iv.Hi, d.LeafCount()-1)
+	if iv.Lo > iv.Hi {
+		return keys.Rect{}, 0, fmt.Errorf("group-by interval [%d,%d] of %s is empty", base.Ivs[dim].Lo, base.Ivs[dim].Hi, d.Name())
+	}
+	base.Ivs = append([]hierarchy.Interval(nil), base.Ivs...)
+	base.Ivs[dim] = iv
+	return base, d.LeavesUnder(level + 1), nil
+}
+
 // GroupByShards folds one aggregate per value of the dimension's level
 // within base, across the given shards. Shards that migrated away are
 // chased through their forward address, like QueryShards.
 func (w *Worker) GroupByShards(ctx context.Context, base keys.Rect, dim, level int, ids []image.ShardID, defIdx int) (GroupByReply, error) {
-	if dim < 0 || dim >= w.cfg.Schema.NumDims() {
-		return GroupByReply{}, errors.New("worker: group-by dimension out of range")
+	base, groupSpan, err := CheckGroupBy(w.cfg.Schema, base, dim, level)
+	if err != nil {
+		return GroupByReply{}, fmt.Errorf("worker: %w", err)
 	}
-	d := w.cfg.Schema.Dim(dim)
-	if level < 0 || level >= d.Depth() {
-		return GroupByReply{}, errors.New("worker: group-by level out of range")
-	}
-	groupSpan := d.LeavesUnder(level + 1)
 	rep := GroupByReply{Groups: make(map[uint64]core.Aggregate)}
 	for _, id := range ids {
 		if err := w.groupByOneShard(ctx, id, base, dim, level, groupSpan, defIdx, &rep); err != nil {
@@ -159,7 +183,7 @@ func (w *Worker) groupByOneShard(ctx context.Context, id image.ShardID, base key
 			return err
 		}
 		for v, agg := range sub.Groups {
-			mergeGroup(rep.Groups, v, agg)
+			core.MergeGroup(rep.Groups, v, agg)
 		}
 		rep.ShardsSearched += sub.ShardsSearched
 		rep.RollupShards += sub.RollupShards
@@ -180,58 +204,23 @@ func (w *Worker) groupByOneShard(ctx context.Context, id image.ShardID, base key
 		rep.RollupCells += uint64(cells)
 		w.rollupHits.Inc()
 	} else {
-		// Tree path: one clipped query per level value inside base.
-		baseIv := base.Ivs[dim]
-		first := baseIv.Lo / groupSpan
-		last := baseIv.Hi / groupSpan
-		clip := keys.Rect{Ivs: append([]hierarchy.Interval(nil), base.Ivs...)}
-		for v := first; v <= last; v++ {
-			iv := hierarchy.Interval{Lo: v * groupSpan, Hi: v*groupSpan + groupSpan - 1}
-			if iv.Lo < baseIv.Lo {
-				iv.Lo = baseIv.Lo
-			}
-			if iv.Hi > baseIv.Hi {
-				iv.Hi = baseIv.Hi
-			}
-			clip.Ivs[dim] = iv
-			if agg := store.Query(clip); agg.Count > 0 {
-				mergeGroup(rep.Groups, v, agg)
-			}
-		}
-	}
-	// Queue and buffer items fold in one by one; they are not in the
-	// rollup tables (tables mirror the store only).
-	fold := func(it core.Item) {
-		if !base.ContainsPoint(it.Coords) {
-			return
-		}
-		v := it.Coords[dim] / groupSpan
-		agg, ok := rep.Groups[v]
-		if !ok {
-			agg = core.NewAggregate()
-		}
-		agg.AddItem(it.Measure)
-		rep.Groups[v] = agg
+		store.GroupQuery(base, dim, groupSpan, rep.Groups)
 	}
 	if queue != nil {
-		queue.Items(func(it core.Item) bool {
-			fold(it)
-			return true
-		})
+		queue.GroupQuery(base, dim, groupSpan, rep.Groups)
 	}
+	// Buffered items are in neither the tree nor the rollup tables.
 	if st.buf != nil {
-		st.buf.scan(base, fold)
+		st.buf.scan(base, func(it core.Item) {
+			v := it.Coords[dim] / groupSpan
+			agg, ok := rep.Groups[v]
+			if !ok {
+				agg = core.NewAggregate()
+			}
+			agg.AddItem(it.Measure)
+			rep.Groups[v] = agg
+		})
 	}
 	rep.ShardsSearched++
 	return nil
-}
-
-// mergeGroup folds one value's aggregate into the group map.
-func mergeGroup(out map[uint64]core.Aggregate, v uint64, a core.Aggregate) {
-	cur, ok := out[v]
-	if !ok {
-		cur = core.NewAggregate()
-	}
-	cur.Merge(a)
-	out[v] = cur
 }

@@ -145,6 +145,8 @@ func TestHostileRequests(t *testing.T) {
 		return b.Bytes()
 	}
 	oneDim := keys.NewRect(hierarchy.Interval{Lo: 0, Hi: 99})
+	inverted := keys.NewRect(hierarchy.Interval{Lo: 50, Hi: 10}, hierarchy.Interval{Lo: 0, Hi: 39})
+	pastEnd := keys.NewRect(hierarchy.Interval{Lo: 100, Hi: 1 << 20}, hierarchy.Interval{Lo: 0, Hi: 39})
 	shard := []image.ShardID{1}
 	for _, tc := range []struct {
 		name    string
@@ -155,6 +157,8 @@ func TestHostileRequests(t *testing.T) {
 		{"worker.groupby count", w.handleGroupBy, hostileCount(func(b *wire.Writer) { b.Uvarint(0); b.Uvarint(0) })}, // dim, level
 		{"worker.query rect", w.handleQuery, EncodeQueryRequest(oneDim, shard)},
 		{"worker.groupby rect", w.handleGroupBy, EncodeGroupByRequest(oneDim, 1, 0, shard, -1)},
+		{"worker.groupby lo>hi", w.handleGroupBy, EncodeGroupByRequest(inverted, 0, 0, shard, -1)},
+		{"worker.groupby lo past last leaf", w.handleGroupBy, EncodeGroupByRequest(pastEnd, 0, 0, shard, -1)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {
@@ -166,6 +170,35 @@ func TestHostileRequests(t *testing.T) {
 				t.Fatalf("accepted a %d-byte hostile payload", len(tc.payload))
 			}
 		})
+	}
+	// A grouped interval running far past the dimension's leaves is
+	// clamped: the answer is the whole dimension's, and it comes at once
+	// rather than after one tree query per Hi/span.
+	want, err := w.GroupByShards(context.Background(), keys.AllRect(w.cfg.Schema), 0, 0, shard, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan GroupByReply, 1)
+	go func() {
+		rep, err := w.GroupByShards(context.Background(), keys.NewRect(
+			hierarchy.Interval{Lo: 0, Hi: 1 << 40}, hierarchy.Interval{Lo: 0, Hi: 39}), 0, 0, shard, -1)
+		if err != nil {
+			t.Error(err)
+		}
+		done <- rep
+	}()
+	select {
+	case got := <-done:
+		if len(got.Groups) != len(want.Groups) {
+			t.Fatalf("clamped group-by: %d groups, whole dimension %d", len(got.Groups), len(want.Groups))
+		}
+		for v, a := range want.Groups {
+			if got.Groups[v] != a {
+				t.Fatalf("clamped group-by group %d: %v, whole dimension %v", v, got.Groups[v], a)
+			}
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("group-by with Hi = 1<<40 still running after 10 s")
 	}
 }
 

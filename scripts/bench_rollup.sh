@@ -6,9 +6,10 @@
 #
 # One op is one full-space group-by (Store country or Date year). The
 # rollup path reads a handful of materialized cells per shard; the raw
-# path walks every shard tree and buckets leaves at query time, so the
-# gap widens with data volume. The issue's acceptance bar is a >=5x
-# latency drop for the rollup path.
+# path walks each shard tree once and buckets what it reaches at query
+# time, so the gap widens with data volume. The acceptance floor is a
+# >=5x latency drop for the rollup path. The header records cpus,
+# GOMAXPROCS, the commit and the Go version the numbers were taken on.
 #
 # Usage: scripts/bench_rollup.sh [output.json]   (default BENCH_rollup.json)
 set -eu
@@ -18,13 +19,19 @@ cd "$(dirname "$0")/.."
 OUT=${1:-BENCH_rollup.json}
 BENCHTIME=${BENCHTIME:-200x}
 CPUS=$(getconf _NPROCESSORS_ONLN 2>/dev/null || nproc 2>/dev/null || echo 1)
+PROCS=${GOMAXPROCS:-$(nproc 2>/dev/null || echo "$CPUS")}
+COMMIT=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
+if [ -n "$(git status --porcelain 2>/dev/null)" ]; then
+	COMMIT="$COMMIT-dirty"
+fi
+GOVERSION=$(go env GOVERSION)
 RAW=$(mktemp)
 trap 'rm -f "$RAW"' EXIT INT TERM
 
 echo "bench_rollup: running go test -bench BenchmarkRollupGroupBy -benchtime $BENCHTIME"
 go test -bench 'BenchmarkRollupGroupBy' -benchtime "$BENCHTIME" -run '^$' . | tee "$RAW"
 
-awk -v cpus="$CPUS" '
+awk -v cpus="$CPUS" -v procs="$PROCS" -v commit="$COMMIT" -v gover="$GOVERSION" '
 /^BenchmarkRollupGroupBy\// {
 	name = $1
 	sub(/^BenchmarkRollupGroupBy\//, "", name)
@@ -38,6 +45,7 @@ END {
 		print "bench_rollup: missing benchmark lines" > "/dev/stderr"; exit 1
 	}
 	printf "{\n  \"benchmark\": \"MaterializedRollups\",\n  \"cpus\": %d,\n", cpus
+	printf "  \"gomaxprocs\": %d,\n  \"commit\": \"%s\",\n  \"go_version\": \"%s\",\n", procs, commit, gover
 	printf "  \"group_by_latency\": {\n"
 	printf "    \"unit\": \"one op = one full-space group-by (Store country or Date year) on a 60k-item TPC-DS cluster; rollup answers from materialized cells, raw forces the per-shard tree scan via WithNoRollup\",\n"
 	base = lat["raw"]
