@@ -6,15 +6,16 @@ import (
 	"repro/internal/keys"
 )
 
-// arrayStore is the simple array shard store (§III-D): a flat slice with
-// linear-scan queries, kept as a correctness and performance baseline.
+// arrayStore is the simple array shard store (§III-D): one unbounded
+// leaf block with linear-scan queries, kept as a correctness and
+// performance baseline.
 type arrayStore struct {
 	cfg Config
 
-	mu    sync.RWMutex
-	items []Item
-	key   *keys.Key
-	agg   Aggregate
+	mu  sync.RWMutex
+	blk block
+	key *keys.Key
+	agg Aggregate
 }
 
 var _ Store = (*arrayStore)(nil)
@@ -22,6 +23,7 @@ var _ Store = (*arrayStore)(nil)
 func newArrayStore(cfg Config) *arrayStore {
 	return &arrayStore{
 		cfg: cfg,
+		blk: block{dims: cfg.Schema.NumDims()},
 		key: keys.NewEmpty(cfg.Keys, cfg.Schema.NumDims(), cfg.MDSCap),
 		agg: NewAggregate(),
 	}
@@ -34,7 +36,7 @@ func (a *arrayStore) Insert(it Item) error {
 		return err
 	}
 	a.mu.Lock()
-	a.items = append(a.items, it)
+	a.blk.insert(a.blk.n, it.Coords, it.Measure, 0)
 	a.key.ExtendPoint(it.Coords)
 	a.agg.AddItem(it.Measure)
 	a.mu.Unlock()
@@ -49,7 +51,7 @@ func (a *arrayStore) BulkLoad(items []Item) error {
 	}
 	a.mu.Lock()
 	for _, it := range items {
-		a.items = append(a.items, it)
+		a.blk.insert(a.blk.n, it.Coords, it.Measure, 0)
 		a.key.ExtendPoint(it.Coords)
 		a.agg.AddItem(it.Measure)
 	}
@@ -66,17 +68,14 @@ func (a *arrayStore) QueryWithStats(q keys.Rect) (Aggregate, QueryStats) {
 	agg := NewAggregate()
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	st := QueryStats{NodesVisited: 1, LeavesScanned: 1, ItemsScanned: len(a.items)}
-	if a.key.CoveredByRect(q) {
+	st := QueryStats{NodesVisited: 1}
+	switch {
+	case a.key.Empty() || !a.key.OverlapsRect(q):
+	case a.key.CoveredByRect(q):
 		st.CoveredNodes = 1
-		st.ItemsScanned = 0
 		agg.Merge(a.agg)
-		return agg, st
-	}
-	for _, it := range a.items {
-		if q.ContainsPoint(it.Coords) {
-			agg.AddItem(it.Measure)
-		}
+	default:
+		a.blk.scan(a.key, q, &agg, &st)
 	}
 	return agg, st
 }
@@ -95,9 +94,7 @@ func (a *arrayStore) GroupQuery(base keys.Rect, dim int, span uint64, out map[ui
 	if g.covered(a.key, a.agg, inBase) {
 		st.CoveredNodes = 1
 	} else {
-		st.LeavesScanned = 1
-		st.ItemsScanned = len(a.items)
-		g.addItems(a.items, inBase)
+		g.addBlock(&a.blk, a.key, inBase, &st)
 	}
 	g.flush(out)
 	return st
@@ -106,7 +103,7 @@ func (a *arrayStore) GroupQuery(base keys.Rect, dim int, span uint64, out map[ui
 func (a *arrayStore) Count() uint64 {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	return uint64(len(a.items))
+	return uint64(a.blk.n)
 }
 
 func (a *arrayStore) Key() *keys.Key {
@@ -115,10 +112,10 @@ func (a *arrayStore) Key() *keys.Key {
 	return a.key.Clone()
 }
 
+// Items streams a snapshot; its coordinates are the caller's to keep.
 func (a *arrayStore) Items(fn func(Item) bool) {
 	a.mu.RLock()
-	snapshot := make([]Item, len(a.items))
-	copy(snapshot, a.items)
+	snapshot := a.blk.items()
 	a.mu.RUnlock()
 	for _, it := range snapshot {
 		if !fn(it) {
@@ -129,7 +126,7 @@ func (a *arrayStore) Items(fn func(Item) bool) {
 
 func (a *arrayStore) SplitQuery() (Hyperplane, error) {
 	a.mu.RLock()
-	n := len(a.items)
+	n := a.blk.n
 	if n < 2 {
 		a.mu.RUnlock()
 		return Hyperplane{}, errSplitTooSmall
@@ -138,7 +135,9 @@ func (a *arrayStore) SplitQuery() (Hyperplane, error) {
 	stride := n/sampleCap + 1
 	sample := make([][]uint64, 0, sampleCap)
 	for i := 0; i < n; i += stride {
-		sample = append(sample, a.items[i].Coords)
+		row := make([]uint64, a.blk.dims)
+		a.blk.row(i, row)
+		sample = append(sample, row)
 	}
 	k := a.key.Clone()
 	a.mu.RUnlock()
@@ -155,5 +154,5 @@ func (a *arrayStore) MemoryBytes() uint64 {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
 	dims := uint64(a.cfg.Schema.NumDims())
-	return uint64(len(a.items)) * (dims*8 + 32)
+	return uint64(a.blk.n) * (dims*8 + 8)
 }

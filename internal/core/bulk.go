@@ -32,7 +32,7 @@ func (t *tree) BulkLoad(items []Item) error {
 	t.anchor.Lock()
 	r := t.root
 	r.mu.Lock()
-	empty := r.leaf && len(r.items) == 0
+	empty := r.leaf && r.blk.n == 0
 	r.mu.Unlock()
 	if !empty {
 		t.anchor.Unlock()
@@ -63,9 +63,12 @@ func (t *tree) BulkLoad(items []Item) error {
 			end = len(perm)
 		}
 		leaf := t.newLeaf()
-		for _, p := range perm[off:end] {
-			leaf.items = append(leaf.items, items[p])
-			leaf.hilberts = append(leaf.hilberts, idx[p])
+		leaf.blk = newBlock(t.cfg.Schema.NumDims(), end-off)
+		leaf.blk.n = end - off
+		leaf.hilberts = make([]hilbert.Index, end-off)
+		for i, p := range perm[off:end] {
+			leaf.blk.set(i, items[p].Coords, items[p].Measure)
+			leaf.hilberts[i] = idx[p]
 		}
 		t.recomputeLeaf(leaf)
 		level = append(level, leaf)

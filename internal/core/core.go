@@ -33,7 +33,7 @@ import (
 )
 
 // Item is one data record: a leaf ordinal per dimension plus a measure.
-// Stores take ownership of the Coords slice on insert.
+// Stores copy the coordinates on insert; the caller keeps the slice.
 type Item struct {
 	Coords  []uint64
 	Measure float64
@@ -160,18 +160,25 @@ type Config struct {
 	Store        StoreKind
 	Keys         keys.Kind
 	MDSCap       int         // intervals per dimension for MDS keys (0 = default)
-	LeafCapacity int         // items per leaf (0 = 64)
-	DirCapacity  int         // children per directory node (0 = 16)
+	LeafCapacity int         // items per leaf (0 = defaultLeafCapacity)
+	DirCapacity  int         // children per directory node (0 = defaultDirCapacity)
 	SplitPolicy  SplitPolicy // node split position policy
 }
+
+// Default node capacities. Read descents keep their per-node scratch
+// (children, match mask) on the stack up to these sizes.
+const (
+	defaultLeafCapacity = 64
+	defaultDirCapacity  = 16
+)
 
 // withDefaults fills zero fields.
 func (c Config) withDefaults() Config {
 	if c.LeafCapacity == 0 {
-		c.LeafCapacity = 64
+		c.LeafCapacity = defaultLeafCapacity
 	}
 	if c.DirCapacity == 0 {
-		c.DirCapacity = 16
+		c.DirCapacity = defaultDirCapacity
 	}
 	if c.MDSCap == 0 {
 		c.MDSCap = keys.DefaultMDSCap
@@ -207,7 +214,8 @@ type QueryStats struct {
 	NodesVisited  int // nodes whose key was examined
 	CoveredNodes  int // nodes answered from the cached aggregate
 	LeavesScanned int // leaves whose items were scanned
-	ItemsScanned  int // items individually tested
+	ItemsScanned  int // items in the scanned leaves
+	ColumnsTested int // leaf columns tested: dimensions a query cuts inside a scanned leaf's key
 }
 
 // Hyperplane is a shard split plan (§III-E): items with

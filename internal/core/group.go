@@ -47,14 +47,23 @@ func (g *groups) covered(k *keys.Key, agg Aggregate, inBase bool) bool {
 	return true
 }
 
-// addItems folds the items inside base into their groups. inBase says
-// the key enclosing them lies inside base, so none needs the test.
-func (g *groups) addItems(items []Item, inBase bool) {
-	for _, it := range items {
-		if inBase || g.base.ContainsPoint(it.Coords) {
-			g.aggs[it.Coords[g.dim]/g.span-g.first].AddItem(it.Measure)
+// addBlock folds the block's items inside base into their groups and
+// counts the work in st. k bounds the block and overlaps base; inBase
+// says k lies inside base, so only the grouped column is read.
+func (g *groups) addBlock(b *block, k *keys.Key, inBase bool, st *QueryStats) {
+	st.LeavesScanned++
+	st.ItemsScanned += b.n
+	col := b.col(g.dim)
+	if inBase {
+		for i, c := range col {
+			g.aggs[c/g.span-g.first].AddItem(b.meas[i])
 		}
+		return
 	}
+	var buf [stackMaskWords]uint64
+	mask := newMask(buf[:], b.n)
+	st.ColumnsTested += b.match(k, g.base, mask)
+	eachSet(mask, func(i int) { g.aggs[col[i]/g.span-g.first].AddItem(b.meas[i]) })
 }
 
 // flush merges every non-empty group into out.
@@ -103,19 +112,12 @@ func (t *tree) groupNode(n *node, g *groups, inBase bool, st *QueryStats) {
 		return
 	}
 	if n.leaf {
-		st.LeavesScanned++
-		st.ItemsScanned += len(n.items)
-		g.addItems(n.items, inBase)
+		g.addBlock(&n.blk, n.key, inBase, st)
 		n.mu.RUnlock()
 		return
 	}
-	rel := make([]*node, 0, len(n.children))
-	for _, c := range n.children {
-		c.mu.RLock()
-		rel = append(rel, c)
-	}
-	n.mu.RUnlock()
-	for _, c := range rel {
+	var buf [defaultDirCapacity]*node
+	for _, c := range lockChildren(n, buf[:0]) {
 		t.groupNode(c, g, inBase, st)
 	}
 }

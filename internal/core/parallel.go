@@ -49,12 +49,7 @@ func (t *tree) QueryParallel(q keys.Rect, parallelism int) Aggregate {
 		return agg
 	}
 
-	children := make([]*node, len(r.children))
-	for i, c := range r.children {
-		c.mu.RLock()
-		children[i] = c
-	}
-	r.mu.RUnlock()
+	children := lockChildren(r, make([]*node, 0, len(r.children)))
 
 	par := parallelism
 	if par > len(children) {

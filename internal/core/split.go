@@ -28,19 +28,28 @@ func (t *tree) splitNode(n *node) *node {
 }
 
 func (t *tree) splitLeaf(n *node) *node {
+	b := &n.blk
 	if !t.hilbertMode() {
-		d := t.widestDim(n.key)
-		sort.SliceStable(n.items, func(i, j int) bool { return n.items[i].Coords[d] < n.items[j].Coords[d] })
+		col := b.col(t.widestDim(n.key))
+		perm := make([]int, b.n)
+		for i := range perm {
+			perm[i] = i
+		}
+		sort.SliceStable(perm, func(i, j int) bool { return col[perm[i]] < col[perm[j]] })
+		b.permute(perm)
 	}
-	elem := make([]*keys.Key, len(n.items))
-	for i, it := range n.items {
-		elem[i] = keys.NewPoint(t.cfg.Keys, t.cfg.MDSCap, it.Coords)
+	elem := make([]*keys.Key, b.n)
+	row := make([]uint64, b.dims)
+	for i := range elem {
+		b.row(i, row)
+		elem[i] = keys.NewPoint(t.cfg.Keys, t.cfg.MDSCap, row)
 	}
 	pos := t.splitPos(elem)
 
+	// The left half keeps its columns in place; the right gets a copy.
 	right := t.newLeaf()
-	right.items = append([]Item(nil), n.items[pos:]...)
-	n.items = n.items[:pos:pos]
+	right.blk = b.slice(pos, b.n)
+	b.n = pos
 	if t.hilbertMode() {
 		right.hilberts = append([]hilbert.Index(nil), n.hilberts[pos:]...)
 		n.hilberts = n.hilberts[:pos:pos]
@@ -55,9 +64,11 @@ func (t *tree) splitLeaf(n *node) *node {
 func (t *tree) recomputeLeaf(n *node) {
 	n.key = keys.NewEmpty(t.cfg.Keys, t.cfg.Schema.NumDims(), t.cfg.MDSCap)
 	n.agg = NewAggregate()
-	for _, it := range n.items {
-		n.key.ExtendPoint(it.Coords)
-		n.agg.AddItem(it.Measure)
+	row := make([]uint64, n.blk.dims)
+	for i := 0; i < n.blk.n; i++ {
+		n.blk.row(i, row)
+		n.key.ExtendPoint(row)
+		n.agg.AddItem(n.blk.meas[i])
 	}
 	if t.hilbertMode() && len(n.hilberts) > 0 {
 		n.maxH = n.hilberts[len(n.hilberts)-1]

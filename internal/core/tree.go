@@ -10,7 +10,8 @@ import (
 	"repro/internal/keys"
 )
 
-// node is a tree node. Leaves hold items; directory nodes hold children.
+// node is a tree node. Leaves hold a block of items; directory nodes
+// hold children.
 // A node's key always describes (at least) everything below it, and its
 // agg is always the exact aggregate of the items below it once the tree is
 // quiescent; during an insertion the path from the root to the inserter's
@@ -23,9 +24,9 @@ type node struct {
 
 	leaf     bool
 	children []*node // directory nodes
-	items    []Item  // leaves
+	blk      block   // leaves
 
-	// Hilbert mode only: per-item indices (parallel to items, kept in
+	// Hilbert mode only: per-item indices (parallel to blk, kept in
 	// ascending order) and the max index of the subtree.
 	hilberts []hilbert.Index
 	maxH     hilbert.Index
@@ -67,6 +68,7 @@ func (t *tree) newLeaf() *node {
 		leaf: true,
 		key:  keys.NewEmpty(t.cfg.Keys, t.cfg.Schema.NumDims(), t.cfg.MDSCap),
 		agg:  NewAggregate(),
+		blk:  block{dims: t.cfg.Schema.NumDims()},
 	}
 }
 
@@ -81,7 +83,7 @@ func (t *tree) newDir() *node {
 // accepting more).
 func (t *tree) full(n *node) bool {
 	if n.leaf {
-		return len(n.items) >= t.cfg.LeafCapacity
+		return n.blk.n >= t.cfg.LeafCapacity
 	}
 	return len(n.children) >= t.cfg.DirCapacity
 }
@@ -203,17 +205,15 @@ func (t *tree) insert(it Item, h hilbert.Index) {
 	t.count.Add(1)
 }
 
-// leafInsert places the item inside a non-full, write-locked leaf.
+// leafInsert copies the item into a non-full, write-locked leaf.
 func (t *tree) leafInsert(n *node, it Item, h hilbert.Index) {
 	if !t.hilbertMode() {
-		n.items = append(n.items, it)
+		n.blk.insert(n.blk.n, it.Coords, it.Measure, t.cfg.LeafCapacity)
 		return
 	}
 	// Keep leaf items sorted by Hilbert index (B+-tree style).
 	pos := sort.Search(len(n.hilberts), func(i int) bool { return h.Less(n.hilberts[i]) })
-	n.items = append(n.items, Item{})
-	copy(n.items[pos+1:], n.items[pos:])
-	n.items[pos] = it
+	n.blk.insert(pos, it.Coords, it.Measure, t.cfg.LeafCapacity)
 	n.hilberts = append(n.hilberts, hilbert.Index{})
 	copy(n.hilberts[pos+1:], n.hilberts[pos:])
 	n.hilberts[pos] = h
@@ -314,30 +314,31 @@ func (t *tree) queryNode(n *node, q keys.Rect, agg *Aggregate, st *QueryStats) {
 		return
 	}
 	if n.leaf {
-		st.LeavesScanned++
-		st.ItemsScanned += len(n.items)
-		for _, it := range n.items {
-			if q.ContainsPoint(it.Coords) {
-				agg.AddItem(it.Measure)
-			}
-		}
+		n.blk.scan(n.key, q, agg, st)
 		n.mu.RUnlock()
 		return
 	}
-	// Lock the relevant children before releasing n.
-	rel := make([]*node, 0, len(n.children))
-	for _, c := range n.children {
-		c.mu.RLock()
-		rel = append(rel, c)
-	}
-	n.mu.RUnlock()
-	for _, c := range rel {
+	// Lock the children before releasing n.
+	var buf [defaultDirCapacity]*node
+	for _, c := range lockChildren(n, buf[:0]) {
 		t.queryNode(c, q, agg, st)
 	}
 }
 
+// lockChildren read-locks n's children, appends them to buf and releases
+// the read-locked n. With buf on the caller's stack and sized to the
+// default fan-out, a descent allocates nothing per node.
+func lockChildren(n *node, buf []*node) []*node {
+	for _, c := range n.children {
+		c.mu.RLock()
+		buf = append(buf, c)
+	}
+	n.mu.RUnlock()
+	return buf
+}
+
 // Items streams the tree's items using the same read-coupled traversal as
-// queries.
+// queries. The coordinates it hands out are the caller's to keep.
 func (t *tree) Items(fn func(Item) bool) {
 	t.anchor.RLock()
 	r := t.root
@@ -351,8 +352,7 @@ func (t *tree) Items(fn func(Item) bool) {
 func (t *tree) itemsNode(n *node, fn func(Item) bool) bool {
 	if n.leaf {
 		// Copy out so the callback runs without the lock held.
-		batch := make([]Item, len(n.items))
-		copy(batch, n.items)
+		batch := n.blk.items()
 		n.mu.RUnlock()
 		for _, it := range batch {
 			if !fn(it) {
@@ -361,14 +361,9 @@ func (t *tree) itemsNode(n *node, fn func(Item) bool) bool {
 		}
 		return true
 	}
-	children := make([]*node, len(n.children))
-	for i, c := range n.children {
-		c.mu.RLock()
-		children[i] = c
-	}
-	n.mu.RUnlock()
+	var buf [defaultDirCapacity]*node
 	stopped := false
-	for _, c := range children {
+	for _, c := range lockChildren(n, buf[:0]) {
 		if stopped {
 			// Still must release the locks we acquired.
 			c.mu.RUnlock()
@@ -385,7 +380,7 @@ func (t *tree) itemsNode(n *node, fn func(Item) bool) bool {
 // overhead.
 func (t *tree) MemoryBytes() uint64 {
 	dims := uint64(t.cfg.Schema.NumDims())
-	per := dims*8 + 24 + 8 // coords + slice header + measure
+	per := dims*8 + 8 // a column entry per dimension + measure
 	if t.hilbertMode() {
 		per += uint64(t.curve.Words())*8 + 24
 	}

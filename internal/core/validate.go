@@ -77,13 +77,18 @@ func CheckInvariants(s Store) error {
 		sub := NewAggregate()
 		var pts [][]uint64
 		if n.leaf {
-			if len(n.items) > cfg.LeafCapacity {
-				return sub, nil, fmt.Errorf("leaf at depth %d has %d items > capacity %d", depth, len(n.items), cfg.LeafCapacity)
+			b := &n.blk
+			if b.n > cfg.LeafCapacity {
+				return sub, nil, fmt.Errorf("leaf at depth %d has %d items > capacity %d", depth, b.n, cfg.LeafCapacity)
 			}
-			for i, it := range n.items {
+			if b.n > b.stride || b.stride > cfg.LeafCapacity || len(b.cols) != b.dims*b.stride || len(b.meas) != b.stride || b.dims != cfg.Schema.NumDims() {
+				return sub, nil, fmt.Errorf("leaf at depth %d: block of %d items, stride %d, %d ordinals, %d measures, %d dims",
+					depth, b.n, b.stride, len(b.cols), len(b.meas), b.dims)
+			}
+			for i, it := range b.items() {
 				if t.hilbertMode() {
-					if len(n.hilberts) != len(n.items) {
-						return sub, nil, fmt.Errorf("leaf hilberts length %d != items %d", len(n.hilberts), len(n.items))
+					if len(n.hilberts) != b.n {
+						return sub, nil, fmt.Errorf("leaf hilberts length %d != items %d", len(n.hilberts), b.n)
 					}
 					if i > 0 && n.hilberts[i].Less(n.hilberts[i-1]) {
 						return sub, nil, fmt.Errorf("leaf items out of hilbert order at %d", i)

@@ -16,8 +16,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"math/rand"
 	"net"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -158,8 +160,9 @@ type Server struct {
 	closed   atomic.Bool
 	conns    map[net.Conn]struct{}
 
-	fault *FaultInjector
-	party string
+	fault  *FaultInjector
+	party  string
+	panics *metrics.CounterVec // netmsg_handler_panics_total{op}; nil without SetMetrics
 }
 
 // NewServer returns a server with no handlers registered.
@@ -182,6 +185,14 @@ func (s *Server) Handle(op string, h Handler) {
 func (s *Server) SetFaults(f *FaultInjector, party string) {
 	s.mu.Lock()
 	s.fault, s.party = f, party
+	s.mu.Unlock()
+}
+
+// SetMetrics counts handler panics in reg as
+// netmsg_handler_panics_total{op}. Call before Listen.
+func (s *Server) SetMetrics(reg *metrics.Registry) {
+	s.mu.Lock()
+	s.panics = reg.Counter("netmsg_handler_panics_total", "op")
 	s.mu.Unlock()
 }
 
@@ -252,7 +263,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	}()
 	var writeMu sync.Mutex
 	s.mu.RLock()
-	fault, party := s.fault, s.party
+	fault, party, panics := s.fault, s.party, s.panics
 	s.mu.RUnlock()
 	peer := conn.RemoteAddr().String()
 	for {
@@ -293,7 +304,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				if h == nil {
 					herr = fmt.Errorf("unknown operation %q", op)
 				} else {
-					resp, herr = h(ctx, payload)
+					resp, herr = callHandler(ctx, h, op, payload, panics)
 				}
 				if fault != nil {
 					action, delay := fault.act(FaultPoint{Party: party, Peer: peer, Op: op, Kind: KindResponse})
@@ -317,6 +328,21 @@ func (s *Server) serveConn(conn net.Conn) {
 			}()
 		}
 	}
+}
+
+// callHandler runs h and turns a panic into an error reply naming the
+// op, so one bad request fails alone instead of ending the process.
+func callHandler(ctx context.Context, h Handler, op string, payload []byte, panics *metrics.CounterVec) (resp []byte, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			if panics != nil {
+				panics.Inc(op)
+			}
+			log.Printf("netmsg: handler %q panicked: %v\n%s", op, p, debug.Stack())
+			resp, err = nil, fmt.Errorf("handler %q panicked: %v", op, p)
+		}
+	}()
+	return h(ctx, payload)
 }
 
 // Close stops the server and closes all connections.

@@ -5,9 +5,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // startEcho starts a server with echo and error handlers on the given
@@ -354,5 +357,38 @@ func TestDefaultTimeout(t *testing.T) {
 	}
 	if d := time.Since(start); d > 150*time.Millisecond {
 		t.Fatalf("default timeout took %v", d)
+	}
+}
+
+// TestHandlerPanicIsErrorReply requires a panicking handler to answer
+// its caller with an error naming the op, count the panic, and leave
+// the connection serving: the next request on it succeeds.
+func TestHandlerPanicIsErrorReply(t *testing.T) {
+	reg := metrics.NewRegistry()
+	s := NewServer()
+	s.SetMetrics(reg)
+	s.Handle("boom", func(context.Context, []byte) ([]byte, error) { panic("bad request") })
+	s.Handle("echo", func(_ context.Context, p []byte) ([]byte, error) { return p, nil })
+	addr, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	_, err = c.RequestTimeout("boom", nil, 5*time.Second)
+	var re *RemoteError
+	if !errors.As(err, &re) || !strings.Contains(re.Msg, `"boom" panicked: bad request`) {
+		t.Fatalf("panicking handler: err = %v, want a RemoteError naming the op", err)
+	}
+	resp, err := c.RequestTimeout("echo", []byte("still here"), 5*time.Second)
+	if err != nil || string(resp) != "still here" {
+		t.Fatalf("request after the panic: %q, %v", resp, err)
+	}
+	if got := reg.Counter("netmsg_handler_panics_total", "op").With("boom").Count(); got != 1 {
+		t.Errorf("netmsg_handler_panics_total{op=boom} = %d, want 1", got)
 	}
 }

@@ -639,6 +639,9 @@ func (s *Server) Query(ctx context.Context, q keys.Rect, opts QueryOptions) (cor
 	ctx, cancel := s.opCtx(ctx)
 	defer cancel()
 	defer s.instrument(ctx, "query")()
+	if err := s.checkImage(); err != nil {
+		return core.NewAggregate(), QueryInfo{}, err
+	}
 	shards := s.idx.RouteQuery(q)
 	info := QueryInfo{ShardsConsidered: len(shards)}
 	agg := core.NewAggregate()
@@ -666,6 +669,19 @@ func (s *Server) Query(ctx context.Context, q keys.Rect, opts QueryOptions) (cor
 		return core.NewAggregate(), info, err
 	}
 	return agg, info, nil
+}
+
+// checkImage fails a read with ErrUnavailable while the server's image
+// holds no shard at all (say, before the first sync, or after the
+// coordinator lost its records): an empty answer then would pass for
+// an empty database. A read that merely misses every shard key is
+// answered empty.
+func (s *Server) checkImage() error {
+	if s.idx.NumShards() > 0 {
+		return nil
+	}
+	s.unavail.Inc()
+	return fmt.Errorf("%w: the image holds no shards", ErrUnavailable)
 }
 
 // pickRollup returns the index of the cheapest configured rollup
@@ -710,6 +726,9 @@ func (s *Server) GroupBy(ctx context.Context, base keys.Rect, dim, level int, op
 	base, span, err := worker.CheckGroupBy(s.cfg.Schema, base, dim, level)
 	if err != nil {
 		return nil, QueryInfo{}, fmt.Errorf("server: %w", err)
+	}
+	if err := s.checkImage(); err != nil {
+		return nil, QueryInfo{}, err
 	}
 	defIdx := -1
 	if !opts.NoRollup {
@@ -987,6 +1006,7 @@ func (s *Server) SyncStats() (pushes, events uint64) {
 func (s *Server) Listen(addr string) (string, error) {
 	srv := netmsg.NewServer()
 	srv.SetFaults(s.fault, "server/"+s.id)
+	srv.SetMetrics(s.reg)
 	srv.Handle("server.hello", s.handleHello)
 	srv.Handle("server.insert", s.handleInsert)
 	srv.Handle("server.bulkload", s.handleBulkLoad)

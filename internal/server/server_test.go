@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -492,5 +493,36 @@ func TestManagerDrivenSplitVisibleToServer(t *testing.T) {
 			t.Fatalf("query after balancing: %v %v", agg, err)
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestEmptyImageUnavailable requires reads on a server whose image
+// holds no shards to fail with ErrUnavailable instead of answering an
+// empty database, while a read that misses every shard key of a
+// non-empty image still answers empty.
+func TestEmptyImageUnavailable(t *testing.T) {
+	eh := newHarness(t, 0, 0)
+	empty := eh.server("s0", time.Hour)
+	all := keys.AllRect(eh.cfg.Schema)
+	if agg, info, err := empty.Query(context.Background(), all, QueryOptions{}); !errors.Is(err, ErrUnavailable) {
+		t.Errorf("query on an empty image: %v, %+v, err %v; want ErrUnavailable", agg, info, err)
+	}
+	if groups, _, err := empty.GroupBy(context.Background(), all, 0, 0, QueryOptions{}); !errors.Is(err, ErrUnavailable) {
+		t.Errorf("group-by on an empty image: %d groups, err %v; want ErrUnavailable", len(groups), err)
+	}
+
+	h := newHarness(t, 1, 2)
+	s := h.server("s1", time.Hour)
+	if err := s.Insert(context.Background(), core.Item{Coords: []uint64{5, 5}, Measure: 1}); err != nil {
+		t.Fatal(err)
+	}
+	miss := keys.NewRect(hierarchy.Interval{Lo: 90, Hi: 99}, hierarchy.Interval{Lo: 30, Hi: 39})
+	agg, info, err := s.Query(context.Background(), miss, QueryOptions{})
+	if err != nil || agg.Count != 0 || info.ShardsConsidered != 0 {
+		t.Errorf("query missing every shard key: %v, %+v, err %v; want an empty answer", agg, info, err)
+	}
+	groups, _, err := s.GroupBy(context.Background(), miss, 0, 0, QueryOptions{})
+	if err != nil || len(groups) != 1 || groups[0].Agg.Count != 0 {
+		t.Errorf("group-by missing every shard key: %+v, err %v; want one empty group", groups, err)
 	}
 }

@@ -267,6 +267,7 @@ func (w *Worker) SetFaults(f *netmsg.FaultInjector) {
 func (w *Worker) Listen(addr string) (string, error) {
 	srv := netmsg.NewServer()
 	srv.SetFaults(w.fault, "worker/"+w.id)
+	srv.SetMetrics(w.reg)
 	srv.Handle("worker.createshard", w.handleCreateShard)
 	srv.Handle("worker.insert", w.handleInsert)
 	srv.Handle("worker.bulkload", w.handleBulkLoad)
