@@ -3,6 +3,7 @@ package volap
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"errors"
 	"strconv"
 	"strings"
@@ -427,7 +428,7 @@ func TestChaosHeartbeatDropPastTTL(t *testing.T) {
 	if drops.Load() == 0 {
 		t.Fatal("node reaped but no heartbeat was ever dropped")
 	}
-	evs, _, err := store.EventsSince(0, "/volap/workers", 100, 0)
+	evs, _, err := store.EventsSince(context.Background(), 0, "/volap/workers", 100, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

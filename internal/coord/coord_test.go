@@ -1,6 +1,7 @@
 package coord
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -103,7 +104,7 @@ func TestEventsSinceOrdering(t *testing.T) {
 	s.Create("/b/x", nil)
 	s.Delete("/a", AnyVersion)
 
-	evs, cursor, err := s.EventsSince(0, "/a", 100, 0)
+	evs, cursor, err := s.EventsSince(context.Background(), 0, "/a", 100, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestEventsSinceOrdering(t *testing.T) {
 		}
 	}
 	// Cursor advances past everything seen; next call times out empty.
-	evs, _, err = s.EventsSince(cursor, "/a", 100, 20*time.Millisecond)
+	evs, _, err = s.EventsSince(context.Background(), cursor, "/a", 100, 20*time.Millisecond)
 	if err != nil || len(evs) != 0 {
 		t.Fatalf("drained cursor returned %v %v", evs, err)
 	}
@@ -130,7 +131,7 @@ func TestEventsBlockingWakeup(t *testing.T) {
 	s := NewStore()
 	got := make(chan Event, 1)
 	go func() {
-		evs, _, err := s.EventsSince(0, "/k", 10, 5*time.Second)
+		evs, _, err := s.EventsSince(context.Background(), 0, "/k", 10, 5*time.Second)
 		if err == nil && len(evs) > 0 {
 			got <- evs[0]
 		}
@@ -171,7 +172,7 @@ func TestCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, _, err := s.EventsSince(0, "/spam", 10, 0)
+	_, _, err := s.EventsSince(context.Background(), 0, "/spam", 10, 0)
 	if !errors.Is(err, ErrCompacted) {
 		t.Fatalf("expected ErrCompacted, got %v", err)
 	}
@@ -181,7 +182,7 @@ func TestStoreClose(t *testing.T) {
 	s := NewStore()
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := s.EventsSince(0, "/x", 10, time.Minute)
+		_, _, err := s.EventsSince(context.Background(), 0, "/x", 10, time.Minute)
 		done <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -237,7 +238,7 @@ func TestRemoteClient(t *testing.T) {
 		if len(snap) != 3 || seq == 0 {
 			t.Fatalf("remote snapshot = %d nodes seq %d", len(snap), seq)
 		}
-		evs, cursor, err := c.EventsSince(0, "/r", 100, 0)
+		evs, cursor, err := c.EventsSince(context.Background(), 0, "/r", 100, 0)
 		if err != nil || len(evs) == 0 {
 			t.Fatalf("remote events = %v %v", evs, err)
 		}
@@ -312,6 +313,49 @@ func TestWatcher(t *testing.T) {
 	}
 }
 
+// TestWatcherStopInterruptsPoll requires Stop to end a watcher's long
+// poll in flight, on the in-process store and across the wire, instead
+// of waiting out the poll's 500 ms window.
+func TestWatcherStopInterruptsPoll(t *testing.T) {
+	store := NewStore()
+	defer store.Close()
+	srv, bound, err := Serve(store, "inproc://coord-watch-stop")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := DialClient(bound)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for name, co := range map[string]Coordinator{"store": store, "client": c} {
+		w := NewWatcher(co, "/quiet", 0, func(Event) {}, nil)
+		time.Sleep(20 * time.Millisecond) // let the first poll block
+		start := time.Now()
+		w.Stop()
+		if d := time.Since(start); d > 50*time.Millisecond {
+			t.Errorf("%s: Stop took %v, want under 50ms", name, d)
+		}
+	}
+}
+
+// TestEventsSinceCancel requires a blocked EventsSince to return the
+// context's error once the context is cancelled.
+func TestEventsSinceCancel(t *testing.T) {
+	s := NewStore()
+	defer s.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(20*time.Millisecond, cancel)
+	start := time.Now()
+	if _, _, err := s.EventsSince(ctx, 0, "/none", 10, time.Minute); !errors.Is(err, context.Canceled) {
+		t.Errorf("EventsSince after cancel: %v, want context.Canceled", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("EventsSince returned after %v", d)
+	}
+}
+
 // TestEventsPagination checks the limit parameter: a reader can drain a
 // large backlog in pages without losing or duplicating events.
 func TestEventsPagination(t *testing.T) {
@@ -325,7 +369,7 @@ func TestEventsPagination(t *testing.T) {
 	var seen int
 	cursor := uint64(0)
 	for {
-		evs, next, err := s.EventsSince(cursor, "/page", 64, 0)
+		evs, next, err := s.EventsSince(context.Background(), cursor, "/page", 64, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -23,7 +23,9 @@ type Coordinator interface {
 	Children(path string) ([]string, error)
 	Delete(path string, expected int64) error
 	Snapshot(prefix string) (map[string][]byte, uint64)
-	EventsSince(since uint64, prefix string, limit int, timeout time.Duration) ([]Event, uint64, error)
+	// EventsSince long-polls for events under prefix after since, for
+	// up to timeout; cancelling ctx ends the poll early with ctx's error.
+	EventsSince(ctx context.Context, since uint64, prefix string, limit int, timeout time.Duration) ([]Event, uint64, error)
 
 	// Liveness sessions (§III-B): ephemeral nodes vanish when their
 	// session misses heartbeats for a TTL, firing deletion watches.
@@ -135,7 +137,7 @@ func Serve(s *Store, addr string) (*netmsg.Server, string, error) {
 		}
 		return w.Bytes(), nil
 	})
-	srv.Handle("coord.events", func(_ context.Context, p []byte) ([]byte, error) {
+	srv.Handle("coord.events", func(ctx context.Context, p []byte) ([]byte, error) {
 		r := wire.NewReader(p)
 		since := r.Uint64()
 		prefix := r.String()
@@ -144,7 +146,7 @@ func Serve(s *Store, addr string) (*netmsg.Server, string, error) {
 		if r.Err() != nil {
 			return nil, r.Err()
 		}
-		evs, cursor, err := s.EventsSince(since, prefix, limit, timeout)
+		evs, cursor, err := s.EventsSince(ctx, since, prefix, limit, timeout)
 		if err != nil {
 			return nil, err
 		}
@@ -405,15 +407,16 @@ func (c *Client) CreateEphemeral(path string, data []byte, owner SessionID) (int
 }
 
 // EventsSince implements Coordinator via long-polling.
-func (c *Client) EventsSince(since uint64, prefix string, limit int, timeout time.Duration) ([]Event, uint64, error) {
+func (c *Client) EventsSince(ctx context.Context, since uint64, prefix string, limit int, timeout time.Duration) ([]Event, uint64, error) {
 	w := wire.NewWriter(len(prefix) + 24)
 	w.Uint64(since)
 	w.String(prefix)
 	w.Uvarint(uint64(limit))
 	w.Uvarint(uint64(timeout / time.Millisecond))
 	// Give the transport twice the poll window before declaring failure.
-	netTimeout := 2*timeout + 5*time.Second
-	resp, err := c.c.RequestTimeout("coord.events", w.Bytes(), netTimeout)
+	ctx, cancel := context.WithTimeout(ctx, 2*timeout+5*time.Second)
+	defer cancel()
+	resp, err := c.c.RequestCtx(ctx, "coord.events", w.Bytes())
 	if err != nil {
 		return nil, since, mapRemoteError(err)
 	}
@@ -440,27 +443,23 @@ type Watcher struct {
 	OnEvent func(Event)
 	OnReset func(snapshot map[string][]byte)
 
-	stop chan struct{}
-	done chan struct{}
+	stop context.CancelFunc
 	wg   sync.WaitGroup
 }
 
 // NewWatcher starts watching prefix from the given cursor.
 func NewWatcher(c Coordinator, prefix string, since uint64, onEvent func(Event), onReset func(map[string][]byte)) *Watcher {
-	w := &Watcher{OnEvent: onEvent, OnReset: onReset, stop: make(chan struct{}), done: make(chan struct{})}
+	ctx, stop := context.WithCancel(context.Background())
+	w := &Watcher{OnEvent: onEvent, OnReset: onReset, stop: stop}
 	w.wg.Add(1)
 	go func() {
 		defer w.wg.Done()
-		defer close(w.done)
 		cursor := since
-		for {
-			select {
-			case <-w.stop:
-				return
-			default:
-			}
-			evs, next, err := c.EventsSince(cursor, prefix, 1024, 500*time.Millisecond)
+		for ctx.Err() == nil {
+			evs, next, err := c.EventsSince(ctx, cursor, prefix, 1024, 500*time.Millisecond)
 			switch {
+			case ctx.Err() != nil:
+				return
 			case err == nil:
 				cursor = next
 				for _, ev := range evs {
@@ -477,7 +476,7 @@ func NewWatcher(c Coordinator, prefix string, since uint64, onEvent func(Event),
 			default:
 				// Transient transport failure: back off briefly.
 				select {
-				case <-w.stop:
+				case <-ctx.Done():
 					return
 				case <-time.After(100 * time.Millisecond):
 				}
@@ -487,8 +486,9 @@ func NewWatcher(c Coordinator, prefix string, since uint64, onEvent func(Event),
 	return w
 }
 
-// Stop terminates the watch loop and waits for it to exit.
+// Stop ends the poll in flight and the watch loop, and waits for the
+// loop to exit; no callback runs after Stop returns.
 func (w *Watcher) Stop() {
-	close(w.stop)
+	w.stop()
 	w.wg.Wait()
 }

@@ -1,6 +1,7 @@
 package coord
 
 import (
+	"context"
 	"errors"
 	"sync/atomic"
 	"testing"
@@ -62,7 +63,7 @@ func TestSessionExpiryReapsEphemerals(t *testing.T) {
 	}
 
 	// The deletion is an ordinary event, visible to watchers.
-	evs, _, err := s.EventsSince(0, "/volap/workers", 100, 0)
+	evs, _, err := s.EventsSince(context.Background(), 0, "/volap/workers", 100, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

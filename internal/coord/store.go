@@ -10,6 +10,7 @@
 package coord
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"repro/internal/metrics"
@@ -345,30 +346,33 @@ func (s *Store) Snapshot(prefix string) (map[string][]byte, uint64) {
 }
 
 // EventsSince blocks until at least one event with Seq > since matching
-// the prefix exists (or the timeout expires), then returns matching
-// events in order and the new cursor. A cursor older than the log start
-// yields ErrCompacted.
-func (s *Store) EventsSince(since uint64, prefix string, limit int, timeout time.Duration) ([]Event, uint64, error) {
+// the prefix exists (or the timeout expires, or ctx is done), then
+// returns matching events in order and the new cursor. A cursor older
+// than the log start yields ErrCompacted; a done ctx yields its error.
+func (s *Store) EventsSince(ctx context.Context, since uint64, prefix string, limit int, timeout time.Duration) ([]Event, uint64, error) {
 	if limit <= 0 {
 		limit = 1 << 10
 	}
-	deadline := time.Now().Add(timeout)
-	timerDone := make(chan struct{})
-	if timeout > 0 {
-		// Cond has no timed wait; poke the condition at the deadline.
-		t := time.AfterFunc(timeout, func() {
-			s.mu.Lock()
-			s.change.Broadcast()
-			s.mu.Unlock()
-			close(timerDone)
-		})
-		defer t.Stop()
+	// Cond has no timed or cancellable wait; poke the condition at the
+	// deadline and when ctx is done.
+	poke := func() {
+		s.mu.Lock()
+		s.change.Broadcast()
+		s.mu.Unlock()
 	}
+	deadline := time.Now().Add(timeout)
+	if timeout > 0 {
+		defer time.AfterFunc(timeout, poke).Stop()
+	}
+	defer context.AfterFunc(ctx, poke)()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
 		if s.closed {
 			return nil, since, ErrStoreClosed
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, since, err
 		}
 		s.expireLocked()
 		if len(s.events) > 0 && since+1 < s.first {

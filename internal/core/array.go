@@ -124,25 +124,14 @@ func (a *arrayStore) Items(fn func(Item) bool) {
 	}
 }
 
-func (a *arrayStore) SplitQuery() (Hyperplane, error) {
+// eachBlock calls fn with the store's one block under the read lock.
+func (a *arrayStore) eachBlock(fn func(b *block) bool) {
 	a.mu.RLock()
-	n := a.blk.n
-	if n < 2 {
-		a.mu.RUnlock()
-		return Hyperplane{}, errSplitTooSmall
-	}
-	const sampleCap = 4096
-	stride := n/sampleCap + 1
-	sample := make([][]uint64, 0, sampleCap)
-	for i := 0; i < n; i += stride {
-		row := make([]uint64, a.blk.dims)
-		a.blk.row(i, row)
-		sample = append(sample, row)
-	}
-	k := a.key.Clone()
-	a.mu.RUnlock()
-	return planHyperplane(k, sample, a.cfg), nil
+	defer a.mu.RUnlock()
+	fn(&a.blk)
 }
+
+func (a *arrayStore) SplitQuery() (Hyperplane, error) { return splitQuery(a) }
 
 func (a *arrayStore) Split(h Hyperplane) (Store, Store, error) {
 	return splitStore(a, h)

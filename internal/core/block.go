@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/bits"
 
 	"repro/internal/keys"
@@ -18,6 +19,17 @@ type block struct {
 	cols   []uint64  // dims*stride ordinals
 	meas   []float64 // stride measures
 }
+
+// blockStore is a store that lends out its leaf blocks: eachBlock calls
+// fn with every block in item order, each under its leaf's read lock,
+// until fn returns false. fn must not keep the block.
+type blockStore interface {
+	Store
+	eachBlock(fn func(b *block) bool)
+}
+
+var _ blockStore = (*tree)(nil)
+var _ blockStore = (*arrayStore)(nil)
 
 // newBlock returns an empty block with room for stride items.
 func newBlock(dims, stride int) block {
@@ -76,9 +88,10 @@ func (b *block) insert(pos int, coords []uint64, m float64, limit int) {
 	b.set(pos, coords, m)
 }
 
-// slice returns a new block holding items [lo, hi) with no spare room.
-func (b *block) slice(lo, hi int) block {
-	nb := newBlock(b.dims, hi-lo)
+// slice returns a new block holding items [lo, hi) with room for
+// stride items (at least hi-lo).
+func (b *block) slice(lo, hi, stride int) block {
+	nb := newBlock(b.dims, max(stride, hi-lo))
 	nb.n = hi - lo
 	for d := 0; d < b.dims; d++ {
 		copy(nb.cols[d*nb.stride:], b.cols[d*b.stride+lo:d*b.stride+hi])
@@ -87,9 +100,14 @@ func (b *block) slice(lo, hi int) block {
 	return nb
 }
 
-// permute reorders the items so that new item i is old item perm[i].
-func (b *block) permute(perm []int) {
-	tmp := make([]uint64, b.n)
+// permute reorders the items so that new item i is old item perm[i],
+// staging each column in buf (grown to n if shorter), and returns buf.
+// Measures are staged as their bits.
+func (b *block) permute(perm []int, buf []uint64) []uint64 {
+	if len(buf) < b.n {
+		buf = make([]uint64, b.n)
+	}
+	tmp := buf[:b.n]
 	for d := 0; d < b.dims; d++ {
 		col := b.col(d)
 		for i, p := range perm {
@@ -97,11 +115,13 @@ func (b *block) permute(perm []int) {
 		}
 		copy(col, tmp)
 	}
-	meas := make([]float64, b.n)
 	for i, p := range perm {
-		meas[i] = b.meas[p]
+		tmp[i] = math.Float64bits(b.meas[p])
 	}
-	copy(b.meas, meas)
+	for i, v := range tmp {
+		b.meas[i] = math.Float64frombits(v)
+	}
+	return buf
 }
 
 // items returns the block's items in order, their coordinates in one
@@ -125,6 +145,18 @@ func newMask(buf []uint64, n int) []uint64 {
 		return buf[:w]
 	}
 	return make([]uint64, w)
+}
+
+// stackDims sizes on-stack coordinate rows: room for every schema up to
+// 16 dimensions (TPC-DS has 8).
+const stackDims = 16
+
+// rowBuf returns buf[:dims] when buf is long enough, else a new slice.
+func rowBuf(buf []uint64, dims int) []uint64 {
+	if dims <= len(buf) {
+		return buf[:dims]
+	}
+	return make([]uint64, dims)
 }
 
 // stackMaskWords sizes the on-stack match mask: enough for a leaf of the

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sort"
-
-	"repro/internal/hilbert"
-)
+import "repro/internal/hilbert"
 
 // BulkLoad adds many items at once. On an empty Hilbert PDC tree the
 // items are sorted by Hilbert index and the tree is packed bottom-up
@@ -39,16 +35,7 @@ func (t *tree) BulkLoad(items []Item) error {
 		return t.bulkInsert(items)
 	}
 
-	// Compute and sort by Hilbert index.
-	idx := make([]hilbert.Index, len(items))
-	for i := range items {
-		idx[i] = t.hilbertOf(items[i].Coords)
-	}
-	perm := make([]int, len(items))
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.Slice(perm, func(a, b int) bool { return idx[perm[a]].Less(idx[perm[b]]) })
+	idx, perm := t.hilbertOrder(items)
 
 	// Pack leaves at ~3/4 fill so subsequent point inserts do not split
 	// immediately.
@@ -114,15 +101,7 @@ func (t *tree) bulkInsert(items []Item) error {
 		}
 		return nil
 	}
-	idx := make([]hilbert.Index, len(items))
-	for i := range items {
-		idx[i] = t.hilbertOf(items[i].Coords)
-	}
-	perm := make([]int, len(items))
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.Slice(perm, func(a, b int) bool { return idx[perm[a]].Less(idx[perm[b]]) })
+	idx, perm := t.hilbertOrder(items)
 	for _, p := range perm {
 		t.insert(items[p], idx[p])
 	}

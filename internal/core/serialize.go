@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -16,16 +17,11 @@ const shardMagic = "VOLAPSHARD1"
 // SerializeShard): configuration, schema, and all items.
 func (t *tree) Serialize() []byte { return serializeStore(t) }
 
-// serializeStore implements Serialize for any store by streaming items.
-func serializeStore(s Store) []byte {
+// serializeStore implements Serialize for any store by streaming its
+// leaf blocks' columns into the blob.
+func serializeStore(s blockStore) []byte {
 	cfg := s.Config()
-	items := make([]Item, 0, s.Count())
-	s.Items(func(it Item) bool {
-		items = append(items, it)
-		return true
-	})
-
-	w := wire.NewWriter(64 + len(items)*(cfg.Schema.NumDims()*4+8))
+	w := wire.NewWriter(64 + int(s.Count())*(cfg.Schema.NumDims()*4+8))
 	w.String(shardMagic)
 	w.Uint8(uint8(cfg.Store))
 	w.Uint8(uint8(cfg.Keys))
@@ -35,14 +31,27 @@ func serializeStore(s Store) []byte {
 	w.Uint8(uint8(cfg.SplitPolicy))
 	cfg.Schema.Encode(w)
 	w.Uint64(cfg.Schema.Fingerprint())
-	w.Uvarint(uint64(len(items)))
-	for _, it := range items {
-		for _, c := range it.Coords {
-			w.Uvarint(c)
+	// The item count precedes the items but is known only once they are
+	// written (an insert may land during the pass): reserve the longest
+	// varint for it and close the gap after.
+	at := w.Len()
+	var pad [binary.MaxVarintLen64]byte
+	w.Raw(pad[:])
+	var count uint64
+	s.eachBlock(func(b *block) bool {
+		for i := 0; i < b.n; i++ {
+			for d := 0; d < b.dims; d++ {
+				w.Uvarint(b.cols[d*b.stride+i])
+			}
+			w.Float64(b.meas[i])
 		}
-		w.Float64(it.Measure)
-	}
-	return w.Bytes()
+		count += uint64(b.n)
+		return true
+	})
+	out := w.Bytes()
+	n := binary.PutUvarint(out[at:], count)
+	copy(out[at+n:], out[at+len(pad):])
+	return out[:len(out)-len(pad)+n]
 }
 
 // DeserializeStore rebuilds a store from a Serialize blob (§III-E

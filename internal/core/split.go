@@ -1,10 +1,14 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 
+	"repro/internal/hierarchy"
 	"repro/internal/hilbert"
 	"repro/internal/keys"
 )
@@ -28,43 +32,44 @@ func (t *tree) splitNode(n *node) *node {
 }
 
 func (t *tree) splitLeaf(n *node) *node {
+	sc := splitPool.Get().(*splitScratch)
+	defer putSplitScratch(sc)
 	b := &n.blk
 	if !t.hilbertMode() {
 		col := b.col(t.widestDim(n.key))
-		perm := make([]int, b.n)
-		for i := range perm {
-			perm[i] = i
+		perm := sc.perm[:0]
+		for i := 0; i < b.n; i++ {
+			perm = append(perm, i)
 		}
-		sort.SliceStable(perm, func(i, j int) bool { return col[perm[i]] < col[perm[j]] })
-		b.permute(perm)
+		slices.SortStableFunc(perm, func(i, j int) int { return cmp.Compare(col[i], col[j]) })
+		sc.perm = perm
+		sc.words = b.permute(perm, sc.words)
 	}
-	elem := make([]*keys.Key, b.n)
-	row := make([]uint64, b.dims)
-	for i := range elem {
-		b.row(i, row)
-		elem[i] = keys.NewPoint(t.cfg.Keys, t.cfg.MDSCap, row)
-	}
-	pos := t.splitPos(elem)
+	sc.blk = b
+	pos := t.splitPos(sc)
 
-	// The left half keeps its columns in place; the right gets a copy.
+	// The left half keeps its columns in place; the right gets a copy
+	// with room for a full leaf.
 	right := t.newLeaf()
-	right.blk = b.slice(pos, b.n)
+	right.blk = b.slice(pos, b.n, t.cfg.LeafCapacity)
 	b.n = pos
 	if t.hilbertMode() {
-		right.hilberts = append([]hilbert.Index(nil), n.hilberts[pos:]...)
-		n.hilberts = n.hilberts[:pos:pos]
+		right.hilberts = append(make([]hilbert.Index, 0, t.cfg.LeafCapacity), n.hilberts[pos:]...)
+		clear(n.hilberts[pos:])
+		n.hilberts = n.hilberts[:pos]
 	}
 	t.recomputeLeaf(n)
 	t.recomputeLeaf(right)
 	return right
 }
 
-// recomputeLeaf rebuilds a leaf's key, aggregate and max Hilbert index
-// from its items.
+// recomputeLeaf rebuilds a leaf's key (in place), aggregate and max
+// Hilbert index from its items.
 func (t *tree) recomputeLeaf(n *node) {
-	n.key = keys.NewEmpty(t.cfg.Keys, t.cfg.Schema.NumDims(), t.cfg.MDSCap)
+	n.key.Reset()
 	n.agg = NewAggregate()
-	row := make([]uint64, n.blk.dims)
+	var buf [stackDims]uint64
+	row := rowBuf(buf[:], n.blk.dims)
 	for i := 0; i < n.blk.n; i++ {
 		n.blk.row(i, row)
 		n.key.ExtendPoint(row)
@@ -84,34 +89,42 @@ type childSnap struct {
 	maxH hilbert.Index
 }
 
-func (t *tree) snapshotChildren(n *node) []childSnap {
-	snaps := make([]childSnap, len(n.children))
+// snapshotChildren fills sc.snaps and sc.keys with n's children, their
+// keys copied into sc's reused keys.
+func (t *tree) snapshotChildren(n *node, sc *splitScratch) {
 	for i, c := range n.children {
+		if i == len(sc.keyPool) {
+			sc.keyPool = append(sc.keyPool, keys.NewEmpty(t.cfg.Keys, t.cfg.Schema.NumDims(), t.cfg.MDSCap))
+		}
+		k := sc.keyPool[i]
 		c.mu.RLock()
-		snaps[i] = childSnap{c: c, key: c.key.Clone(), agg: c.agg, maxH: c.maxH}
+		k.CopyFrom(c.key)
+		sc.snaps = append(sc.snaps, childSnap{c: c, key: k, agg: c.agg, maxH: c.maxH})
 		c.mu.RUnlock()
 	}
-	return snaps
 }
 
 func (t *tree) splitDir(n *node) *node {
-	snaps := t.snapshotChildren(n)
+	sc := splitPool.Get().(*splitScratch)
+	defer putSplitScratch(sc)
+	t.snapshotChildren(n, sc)
+	snaps := sc.snaps
 	if !t.hilbertMode() {
 		d := t.widestDim(n.key)
-		sort.SliceStable(snaps, func(i, j int) bool {
-			bi, bj := snaps[i].key.Bounds(d), snaps[j].key.Bounds(d)
-			return bi.Lo+bi.Hi < bj.Lo+bj.Hi // order by interval midpoint
+		slices.SortStableFunc(snaps, func(a, b childSnap) int {
+			ba, bb := a.key.Bounds(d), b.key.Bounds(d)
+			return cmp.Compare(ba.Lo+ba.Hi, bb.Lo+bb.Hi) // order by interval midpoint
 		})
 	}
-	elem := make([]*keys.Key, len(snaps))
-	for i, s := range snaps {
-		elem[i] = s.key
+	for _, s := range snaps {
+		sc.keys = append(sc.keys, s.key)
 	}
-	pos := t.splitPos(elem)
+	pos := t.splitPos(sc)
 
 	right := t.newDir()
+	right.children = make([]*node, 0, t.cfg.DirCapacity)
 	n.children = n.children[:0]
-	n.key = keys.NewEmpty(t.cfg.Keys, t.cfg.Schema.NumDims(), t.cfg.MDSCap)
+	n.key.Reset()
 	n.agg = NewAggregate()
 	n.maxH = hilbert.Index{}
 	for i, s := range snaps {
@@ -143,29 +156,127 @@ func (t *tree) widestDim(k *keys.Key) int {
 	return best
 }
 
-// splitPos returns the split position in [1, len-1] for elements in their
-// final order: SplitLeastOverlap scans every position in linear passes and
-// minimizes the overlap volume of the two resulting keys, breaking ties
-// toward the most balanced split; SplitMedian returns the middle.
-func (t *tree) splitPos(elem []*keys.Key) int {
-	n := len(elem)
+// splitScratch is the working storage of one split. Splits run at once
+// in different subtrees under lock coupling, so each takes its own from
+// splitPool and returns it when done; once a scratch has grown to a
+// node's size, a split allocates only the new sibling.
+type splitScratch struct {
+	// The elements to split, in their final order: the items of blk, or
+	// the directory entries' keys.
+	blk  *block
+	keys []*keys.Key
+
+	// sets holds the suffix keys' interval sets, dimension d of the key
+	// of elements [i, n) at i*dims+d, then the two prefix buffers; each
+	// set lives in its own slot of arena.
+	sets  [][]hierarchy.Interval
+	arena []hierarchy.Interval
+	slot  int                   // intervals per arena slot
+	point [1]hierarchy.Interval // an item's set in one dimension
+
+	perm    []int       // a geometric leaf's item order
+	words   []uint64    // block.permute's buffer
+	snaps   []childSnap // a directory's children
+	keyPool []*keys.Key // reused copies of the children's keys
+}
+
+var splitPool = sync.Pool{New: func() any { return new(splitScratch) }}
+
+// putSplitScratch drops sc's references to the tree and pools it.
+func putSplitScratch(sc *splitScratch) {
+	clear(sc.snaps)
+	clear(sc.keys)
+	sc.blk, sc.keys, sc.snaps = nil, sc.keys[:0], sc.snaps[:0]
+	splitPool.Put(sc)
+}
+
+// elems returns the number of elements to split.
+func (sc *splitScratch) elems() int {
+	if sc.blk != nil {
+		return sc.blk.n
+	}
+	return len(sc.keys)
+}
+
+// elem returns element i's interval set in dimension d (aliased, valid
+// until the next call).
+func (sc *splitScratch) elem(i, d int) []hierarchy.Interval {
+	if sc.blk == nil {
+		return sc.keys[i].Set(d)
+	}
+	c := sc.blk.cols[d*sc.blk.stride+i]
+	sc.point[0] = hierarchy.Interval{Lo: c, Hi: c}
+	return sc.point[:]
+}
+
+// reserve sizes the arena for count sets of up to slot intervals each.
+func (sc *splitScratch) reserve(count, slot int) {
+	if len(sc.sets) < count {
+		sc.sets = make([][]hierarchy.Interval, count)
+	}
+	if len(sc.arena) < count*slot {
+		sc.arena = make([]hierarchy.Interval, count*slot)
+	}
+	sc.slot = slot
+}
+
+// out returns set k's empty slot, with room for slot intervals and no
+// more, so a union written there cannot spill into the next one.
+func (sc *splitScratch) out(k int) []hierarchy.Interval {
+	return sc.arena[k*sc.slot : k*sc.slot : (k+1)*sc.slot]
+}
+
+// splitPos returns the split position in [1, n-1] for sc's n elements:
+// SplitLeastOverlap scans every position in linear passes and minimizes
+// the overlap volume of the two resulting keys, breaking ties toward the
+// most balanced split; SplitMedian returns the middle.
+//
+// The keys are never built: each is a row of interval sets in sc's
+// arena, extended with keys.UnionSets (Key.ExtendKey's step, on an empty
+// set a copy) and intersected with keys.IntersectLen in OverlapVolume's
+// order with its early exit, so the position is the one the keys would
+// give. Suffix sets and the two alternating prefix rows are separate
+// slots, so no union reads the slot it writes.
+func (t *tree) splitPos(sc *splitScratch) int {
+	n := sc.elems()
 	if n < 2 {
 		return 1
 	}
 	if t.cfg.SplitPolicy == SplitMedian {
 		return n / 2
 	}
-	suffix := make([]*keys.Key, n+1)
-	suffix[n] = keys.NewEmpty(t.cfg.Keys, t.cfg.Schema.NumDims(), t.cfg.MDSCap)
-	for i := n - 1; i >= 0; i-- {
-		suffix[i] = suffix[i+1].Clone()
-		suffix[i].ExtendKey(elem[i])
+	dims, cp := t.cfg.Schema.NumDims(), keys.IntervalCap(t.cfg.Keys, t.cfg.MDSCap)
+	// A union holds at most both operands' intervals before coarsening.
+	sc.reserve((n+3)*dims, 2*cp)
+	sets := sc.sets
+	for d := 0; d < dims; d++ {
+		sets[n*dims+d] = nil
 	}
-	prefix := keys.NewEmpty(t.cfg.Keys, t.cfg.Schema.NumDims(), t.cfg.MDSCap)
+	for i := n - 1; i >= 1; i-- {
+		for d := 0; d < dims; d++ {
+			k := i*dims + d
+			sets[k] = keys.UnionSets(sc.out(k), sets[k+dims], sc.elem(i, d), cp)
+		}
+	}
+	pre, next := (n+1)*dims, (n+2)*dims
+	for d := 0; d < dims; d++ {
+		sets[pre+d] = nil
+	}
 	best, bestOv, bestBal := 1, math.Inf(1), n
 	for i := 1; i < n; i++ {
-		prefix.ExtendKey(elem[i-1])
-		ov := prefix.OverlapVolume(suffix[i])
+		for d := 0; d < dims; d++ {
+			sets[next+d] = keys.UnionSets(sc.out(next+d), sets[pre+d], sc.elem(i-1, d), cp)
+		}
+		pre, next = next, pre
+		ov := 1.0
+		for d := 0; d < dims; d++ {
+			l := keys.IntersectLen(sets[pre+d], sets[i*dims+d])
+			if l == 0 {
+				ov = 0
+				break
+			}
+			ov *= float64(l)
+		}
 		bal := i - n/2
 		if bal < 0 {
 			bal = -bal
@@ -182,25 +293,37 @@ func (t *tree) splitPos(elem []*keys.Key) int {
 // candidate dimensions by bound spread, and picks a median coordinate that
 // leaves both sides non-empty; if no coordinate separates the data it
 // falls back to the alternating hyperplane (Dim == -1).
-func (t *tree) SplitQuery() (Hyperplane, error) {
-	if t.Count() < 2 {
+func (t *tree) SplitQuery() (Hyperplane, error) { return splitQuery(t) }
+
+// splitQuery implements SplitQuery for any store: every stride-th item,
+// up to 4 096, read from the columns into one flat sample.
+func splitQuery(s blockStore) (Hyperplane, error) {
+	count := s.Count()
+	if count < 2 {
 		return Hyperplane{}, errSplitTooSmall
 	}
 	const sampleCap = 4096
-	stride := int(t.Count()/sampleCap) + 1
-	sample := make([][]uint64, 0, sampleCap)
+	stride := int(count/sampleCap) + 1
+	dims := s.Config().Schema.NumDims()
+	size := min(int(count), sampleCap)
+	flat := make([]uint64, size*dims)
+	sample := make([][]uint64, 0, size)
 	i := 0
-	t.Items(func(it Item) bool {
-		if i%stride == 0 {
-			sample = append(sample, it.Coords)
+	s.eachBlock(func(b *block) bool {
+		for j := 0; j < b.n && len(sample) < size; j++ {
+			if i%stride == 0 {
+				row := flat[len(sample)*dims : (len(sample)+1)*dims]
+				b.row(j, row)
+				sample = append(sample, row)
+			}
+			i++
 		}
-		i++
-		return len(sample) < sampleCap
+		return len(sample) < size
 	})
 	if len(sample) < 2 {
 		return Hyperplane{Dim: -1}, nil
 	}
-	return planHyperplane(t.Key(), sample, t.cfg), nil
+	return planHyperplane(s.Key(), sample, s.Config()), nil
 }
 
 // planHyperplane chooses a split hyperplane from a coordinate sample.
@@ -246,25 +369,29 @@ func (t *tree) Split(h Hyperplane) (Store, Store, error) {
 	return splitStore(t, h)
 }
 
-// splitStore implements Split for any store by streaming its items.
-func splitStore(s Store, h Hyperplane) (Store, Store, error) {
+// splitStore implements Split for any store by streaming its leaf
+// blocks: each item's row goes to the side of the hyperplane it lies on
+// (Dim -1 alternates), and each side is bulk-loaded from its rows.
+func splitStore(s blockStore, h Hyperplane) (Store, Store, error) {
 	cfg := s.Config()
 	if h.Dim >= cfg.Schema.NumDims() {
 		return nil, nil, errors.New("core: hyperplane dimension out of range")
 	}
-	var left, right []Item
+	var left, right rows
 	i := 0
-	s.Items(func(it Item) bool {
-		toLeft := h.Dim >= 0 && it.Coords[h.Dim] <= h.Value
-		if h.Dim < 0 {
-			toLeft = i%2 == 0
+	s.eachBlock(func(b *block) bool {
+		for j := 0; j < b.n; j++ {
+			toLeft := i%2 == 0
+			if h.Dim >= 0 {
+				toLeft = b.cols[h.Dim*b.stride+j] <= h.Value
+			}
+			if toLeft {
+				left.add(b, j)
+			} else {
+				right.add(b, j)
+			}
+			i++
 		}
-		if toLeft {
-			left = append(left, it)
-		} else {
-			right = append(right, it)
-		}
-		i++
 		return true
 	})
 	ls, err := NewStore(cfg)
@@ -275,11 +402,35 @@ func splitStore(s Store, h Hyperplane) (Store, Store, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := ls.BulkLoad(left); err != nil {
+	if err := ls.BulkLoad(left.items(cfg.Schema.NumDims())); err != nil {
 		return nil, nil, err
 	}
-	if err := rs.BulkLoad(right); err != nil {
+	if err := rs.BulkLoad(right.items(cfg.Schema.NumDims())); err != nil {
 		return nil, nil, err
 	}
 	return ls, rs, nil
+}
+
+// rows collects items copied out of blocks: coordinates in one flat
+// slice, measures in another.
+type rows struct {
+	coords []uint64
+	meas   []float64
+}
+
+// add appends item j of b.
+func (r *rows) add(b *block, j int) {
+	for d := 0; d < b.dims; d++ {
+		r.coords = append(r.coords, b.cols[d*b.stride+j])
+	}
+	r.meas = append(r.meas, b.meas[j])
+}
+
+// items returns the collected items, their coordinates aliasing r.
+func (r *rows) items(dims int) []Item {
+	out := make([]Item, len(r.meas))
+	for i := range out {
+		out[i] = Item{Coords: r.coords[i*dims : (i+1)*dims : (i+1)*dims], Measure: r.meas[i]}
+	}
+	return out
 }

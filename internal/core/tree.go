@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -88,20 +87,38 @@ func (t *tree) full(n *node) bool {
 	return len(n.children) >= t.cfg.DirCapacity
 }
 
-// hilbertOf computes the item's compact Hilbert index over ID-expanded
-// coordinates.
-func (t *tree) hilbertOf(coords []uint64) hilbert.Index {
-	exp := make([]uint64, len(coords))
+// hilbertInto computes the item's compact Hilbert index over ID-expanded
+// coordinates, expanding into exp (one entry per dimension) and writing
+// the index into words (Words() long), which the index keeps.
+func (t *tree) hilbertInto(coords, exp, words []uint64) hilbert.Index {
 	for d, c := range coords {
 		exp[d] = t.cfg.Schema.ExpandOrdinal(d, c)
 	}
-	idx, err := t.curve.Index(exp)
-	if err != nil {
-		// Coordinates were validated against the schema; expansion cannot
-		// exceed the curve's bit widths.
-		panic(fmt.Sprintf("core: hilbert index: %v", err))
+	// Coordinates were validated against the schema; expansion cannot
+	// exceed the curve's bit widths.
+	return t.curve.IndexInto(exp, words)
+}
+
+// hilbertOf is hilbertInto with the index in words of its own.
+func (t *tree) hilbertOf(coords []uint64) hilbert.Index {
+	var buf [stackDims]uint64
+	return t.hilbertInto(coords, rowBuf(buf[:], len(coords)), make([]uint64, t.curve.Words()))
+}
+
+// hilbertOrder computes the indices of a batch of items, all in one word
+// slab, and the permutation that sorts the batch by them.
+func (t *tree) hilbertOrder(items []Item) ([]hilbert.Index, []int) {
+	w := t.curve.Words()
+	slab := make([]uint64, len(items)*w)
+	exp := make([]uint64, t.cfg.Schema.NumDims())
+	idx := make([]hilbert.Index, len(items))
+	perm := make([]int, len(items))
+	for i := range items {
+		idx[i] = t.hilbertInto(items[i].Coords, exp, slab[i*w:(i+1)*w:(i+1)*w])
+		perm[i] = i
 	}
-	return idx
+	sort.Slice(perm, func(a, b int) bool { return idx[perm[a]].Less(idx[perm[b]]) })
+	return idx, perm
 }
 
 // Config returns the store's configuration.
@@ -340,17 +357,7 @@ func lockChildren(n *node, buf []*node) []*node {
 // Items streams the tree's items using the same read-coupled traversal as
 // queries. The coordinates it hands out are the caller's to keep.
 func (t *tree) Items(fn func(Item) bool) {
-	t.anchor.RLock()
-	r := t.root
-	r.mu.RLock()
-	t.anchor.RUnlock()
-	t.itemsNode(r, fn)
-}
-
-// itemsNode visits the read-locked node n and releases it. Returns false
-// to stop the iteration.
-func (t *tree) itemsNode(n *node, fn func(Item) bool) bool {
-	if n.leaf {
+	t.eachLeaf(func(n *node) bool {
 		// Copy out so the callback runs without the lock held.
 		batch := n.blk.items()
 		n.mu.RUnlock()
@@ -360,6 +367,35 @@ func (t *tree) itemsNode(n *node, fn func(Item) bool) bool {
 			}
 		}
 		return true
+	})
+}
+
+// eachBlock calls fn with every leaf's block in item order, under the
+// leaf's read lock, until fn returns false. fn must not keep the block.
+func (t *tree) eachBlock(fn func(b *block) bool) {
+	t.eachLeaf(func(n *node) bool {
+		ok := fn(&n.blk)
+		n.mu.RUnlock()
+		return ok
+	})
+}
+
+// eachLeaf hands every leaf, read-locked, to fn, which releases it and
+// returns false to stop; the descent is the read-coupled one of
+// queries.
+func (t *tree) eachLeaf(fn func(n *node) bool) {
+	t.anchor.RLock()
+	r := t.root
+	r.mu.RLock()
+	t.anchor.RUnlock()
+	leavesNode(r, fn)
+}
+
+// leavesNode visits the read-locked node n and releases it. Returns
+// false to stop the iteration.
+func leavesNode(n *node, fn func(n *node) bool) bool {
+	if n.leaf {
+		return fn(n)
 	}
 	var buf [defaultDirCapacity]*node
 	stopped := false
@@ -369,7 +405,7 @@ func (t *tree) itemsNode(n *node, fn func(Item) bool) bool {
 			c.mu.RUnlock()
 			continue
 		}
-		if !t.itemsNode(c, fn) {
+		if !leavesNode(c, fn) {
 			stopped = true
 		}
 	}

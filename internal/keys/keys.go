@@ -141,14 +141,33 @@ type Key struct {
 
 // NewEmpty returns an empty key for the given kind and dimension count.
 // For MDS keys, capPerDim bounds the number of intervals kept per
-// dimension (0 selects DefaultMDSCap); MBR keys always keep one.
+// dimension (0 selects DefaultMDSCap); MBR keys always keep one. With a
+// cap of at most 8, every dimension's set starts in one shared slab with
+// room for cap+1 intervals (an extension's transient overflow), so
+// growing the key to its cap allocates nothing more.
 func NewEmpty(kind Kind, dims, capPerDim int) *Key {
-	if kind == MBR {
-		capPerDim = 1
-	} else if capPerDim <= 0 {
-		capPerDim = DefaultMDSCap
+	cp := IntervalCap(kind, capPerDim)
+	k := &Key{kind: kind, cap: cp, empty: true, sets: make([][]hierarchy.Interval, dims)}
+	if cp <= unionStack/2 {
+		slot := cp + 1
+		slab := make([]hierarchy.Interval, dims*slot)
+		for d := range k.sets {
+			k.sets[d] = slab[d*slot : d*slot : (d+1)*slot]
+		}
 	}
-	return &Key{kind: kind, cap: capPerDim, empty: true, sets: make([][]hierarchy.Interval, dims)}
+	return k
+}
+
+// IntervalCap returns the per-dimension interval cap NewEmpty gives a
+// key of the kind asked for with capPerDim.
+func IntervalCap(kind Kind, capPerDim int) int {
+	if kind == MBR {
+		return 1
+	}
+	if capPerDim <= 0 {
+		return DefaultMDSCap
+	}
+	return capPerDim
 }
 
 // NewPoint returns a key describing exactly one point.
@@ -187,6 +206,16 @@ func (k *Key) CopyFrom(o *Key) {
 	for d, set := range o.sets {
 		k.sets[d] = append(k.sets[d][:0], set...)
 	}
+}
+
+// Reset empties k in place, keeping its storage. It counts as a region
+// change for Gen.
+func (k *Key) Reset() {
+	for d := range k.sets {
+		k.sets[d] = k.sets[d][:0]
+	}
+	k.empty = true
+	k.gen++
 }
 
 // Set returns the interval set of dimension d (aliased, do not mutate).
@@ -298,7 +327,13 @@ func (k *Key) ExtendPoint(coords []uint64) {
 	}
 }
 
-// ExtendKey grows the key minimally to include o's region.
+// unionStack sizes ExtendKey's on-stack union buffer: room for two
+// full sets of an MDS key with a cap of up to 8.
+const unionStack = 16
+
+// ExtendKey grows the key minimally to include o's region. Each
+// dimension's union is built in a stack buffer and copied back into k's
+// own set.
 func (k *Key) ExtendKey(o *Key) {
 	if o.empty {
 		return
@@ -308,10 +343,13 @@ func (k *Key) ExtendKey(o *Key) {
 		return
 	}
 	grew := false
+	var buf [unionStack]hierarchy.Interval
 	for d, set := range k.sets {
-		u := setUnion(make([]hierarchy.Interval, 0, len(set)+len(o.sets[d])), set, o.sets[d], k.cap)
-		grew = grew || !slices.Equal(u, set)
-		k.sets[d] = u
+		u := UnionSets(buf[:0], set, o.sets[d], k.cap)
+		if !slices.Equal(u, set) {
+			grew = true
+			k.sets[d] = append(set[:0], u...)
+		}
 	}
 	if grew {
 		k.gen++
@@ -340,7 +378,7 @@ func (k *Key) ExtendedSetKey(d int, o *Key, buf []hierarchy.Interval) ([]hierarc
 	case k.empty:
 		return append(buf[:0], add...), true
 	}
-	return setUnion(buf[:0], set, add, k.cap), true
+	return UnionSets(buf[:0], set, add, k.cap), true
 }
 
 // Volume returns the number of grid cells covered by the key's region, as
@@ -586,9 +624,14 @@ func setAddOrdinal(set []hierarchy.Interval, ord uint64, cap int) ([]hierarchy.I
 	return coarsen(set, cap), true
 }
 
-// setUnion merges two sets into out (which must not alias them),
-// coalescing overlaps/adjacency and coarsening to the cap.
-func setUnion(out, a, b []hierarchy.Interval, cap int) []hierarchy.Interval {
+// UnionSets appends the union of interval sets a and b to out[:0] (out
+// must not alias them), coalescing overlaps and adjacency and coarsening
+// to the cap, and returns it. It is ExtendKey's per-dimension step on raw
+// sets: an empty set on either side yields the other, coarsened to the
+// cap. It allocates nothing when out has room for len(a)+len(b)
+// intervals.
+func UnionSets(out, a, b []hierarchy.Interval, cap int) []hierarchy.Interval {
+	out = out[:0]
 	i, j := 0, 0
 	push := func(iv hierarchy.Interval) {
 		if n := len(out); n > 0 && iv.Lo <= out[n-1].Hi+1 {

@@ -274,6 +274,40 @@ func TestCopyFrom(t *testing.T) {
 	}
 }
 
+// TestResetAndExtendInPlace checks that Reset empties a key and moves
+// Gen, and that a key reset and regrown to its cap, or extended by
+// another key of the same cap, allocates nothing.
+func TestResetAndExtendInPlace(t *testing.T) {
+	k := NewPoint(MDS, 4, []uint64{1, 2})
+	g := k.Gen()
+	k.Reset()
+	if !k.Empty() || k.Gen() == g || k.ContainsPoint([]uint64{1, 2}) {
+		t.Errorf("after Reset: %v, gen %d (was %d)", k, k.Gen(), g)
+	}
+	o := NewEmpty(MDS, 2, 4)
+	for _, p := range [][]uint64{{3, 40}, {9, 30}, {20, 20}, {31, 10}, {45, 0}} {
+		o.ExtendPoint(p)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		k.Reset()
+		for _, p := range [][2]uint64{{0, 0}, {10, 10}, {22, 22}, {34, 34}, {46, 46}} {
+			k.ExtendPoint(p[:])
+		}
+		k.ExtendKey(o)
+	})
+	if allocs != 0 {
+		t.Errorf("%.1f allocations per reset and regrowth", allocs)
+	}
+	want := NewEmpty(MDS, 2, 4)
+	for _, p := range [][]uint64{{0, 0}, {10, 10}, {22, 22}, {34, 34}, {46, 46}} {
+		want.ExtendPoint(p)
+	}
+	want.ExtendKey(o)
+	if !k.Equal(want) {
+		t.Errorf("reset and regrown key %v, want %v", k, want)
+	}
+}
+
 // TestKeyInvariants property-tests the central key invariants under random
 // point extension: (1) every extended point stays contained, (2) volume
 // never decreases, (3) MDS region ⊆ MBR region over the same points, and
@@ -349,9 +383,9 @@ func TestSetPrimitives(t *testing.T) {
 	if got := IntersectLen(set, nil); got != 0 {
 		t.Errorf("IntersectLen(nil) = %d", got)
 	}
-	u := setUnion(nil, set, other, 10)
+	u := UnionSets(nil, set, other, 10)
 	if SetLen(u) != 23 { // [0,4] ∪ [8,25] = 5 + 18 = 23
-		t.Errorf("setUnion covers %d: %v", SetLen(u), u)
+		t.Errorf("UnionSets covers %d: %v", SetLen(u), u)
 	}
 }
 

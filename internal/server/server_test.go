@@ -105,6 +105,23 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestCloseIsPrompt requires a one-server Close to return in under
+// 50 ms: closing stops the image watcher's long poll instead of waiting
+// out its 500 ms window.
+func TestCloseIsPrompt(t *testing.T) {
+	h := newHarness(t, 1, 2)
+	s, err := New(Options{ID: "s0", Coord: h.store, SyncInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(20 * time.Millisecond) // let the watcher's poll block
+	start := time.Now()
+	s.Close()
+	if d := time.Since(start); d > 50*time.Millisecond {
+		t.Errorf("Close took %v, want under 50ms", d)
+	}
+}
+
 func TestInsertAndQueryDirect(t *testing.T) {
 	h := newHarness(t, 2, 2)
 	s := h.server("s0", time.Hour)
