@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race bench bench-smoke bench-ingest bench-worker bench-replication bench-rollup examples smoke
+.PHONY: check fmt vet build test race bench bench-smoke bench-replication bench-rollup examples smoke
 
 # The standard gate: everything CI (and the tier-1 verify) runs.
 check: fmt vet build race
@@ -26,7 +26,7 @@ test:
 race:
 	$(GO) test -race -shuffle=on ./...
 
-bench: bench-ingest
+bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
 # The benchmark module (benchmark/) imports internal/server and
@@ -34,16 +34,6 @@ bench: bench-ingest
 # never builds it: vet it and run its tests under the race detector.
 bench-smoke:
 	cd benchmark && $(GO) vet . && $(GO) test -race .
-
-# Durability ingest overhead (off/async/sync), emitted machine-readable
-# as BENCH_ingest.json.
-bench-ingest:
-	./scripts/bench_ingest.sh
-
-# Intra-worker parallelism: ingest-pipeline ack latency and multi-shard
-# query fan-out scaling, emitted machine-readable as BENCH_worker.json.
-bench-worker:
-	./scripts/bench_worker.sh
 
 # Shard replication: the failover window (promotion pass to the first
 # complete read), emitted machine-readable as BENCH_replication.json.

@@ -8,8 +8,6 @@ package volap_test
 // figure's full table.
 
 import (
-	"context"
-	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -18,13 +16,11 @@ import (
 	volap "repro"
 
 	"repro/internal/core"
-	"repro/internal/durable"
 	"repro/internal/image"
 	"repro/internal/keys"
 	"repro/internal/pbs"
 	"repro/internal/rtree"
 	"repro/internal/tpcds"
-	"repro/internal/worker"
 )
 
 // --- shared fixtures -------------------------------------------------------
@@ -308,151 +304,6 @@ func BenchmarkBulkLoadTree(b *testing.B) {
 		}
 	}
 	b.SetBytes(int64(len(fixItems)))
-}
-
-// --- Durability: ingest cost by persistence contract ------------------------
-//
-// One op = one 64-item batch through the worker ingest path, so the three
-// modes isolate exactly the durability overhead: off is the paper's pure
-// in-memory apply, async adds the WAL append (group-committed in the
-// background), sync adds an fsync barrier before the ack.
-// scripts/bench_ingest.sh turns these into BENCH_ingest.json.
-
-const ingestBatch = 64
-
-func benchIngestDurability(b *testing.B, mode durable.Mode) {
-	schema := tpcds.Schema()
-	cfg := &image.ClusterConfig{Schema: schema, Store: core.StoreHilbertPDC, Keys: keys.MDS}
-	w := worker.New("bench", cfg)
-	defer w.Close()
-	if mode != durable.ModeOff {
-		d, err := durable.Open(b.TempDir(), "bench", mode, durable.Config{Metrics: w.Metrics()})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := w.AttachDurability(d); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := w.CreateShard(1); err != nil {
-		b.Fatal(err)
-	}
-	gen := tpcds.NewGenerator(schema, 11, 1.1)
-	pool := make([][]core.Item, 64)
-	for i := range pool {
-		pool[i] = gen.Items(ingestBatch)
-	}
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := w.Insert(ctx, 1, pool[i%len(pool)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(ingestBatch), "items/op")
-}
-
-func BenchmarkIngestDurabilityOff(b *testing.B)   { benchIngestDurability(b, durable.ModeOff) }
-func BenchmarkIngestDurabilityAsync(b *testing.B) { benchIngestDurability(b, durable.ModeAsync) }
-func BenchmarkIngestDurabilitySync(b *testing.B)  { benchIngestDurability(b, durable.ModeSync) }
-
-// --- Intra-worker parallelism: ingest pipeline + query fan-out ---------------
-//
-// BenchmarkWorkerIngestParallel measures insert ack latency per 64-item
-// batch: "inline" is the synchronous apply-before-ack path
-// (IngestWorkers 0), "workersN" acks after the buffer append and lets N
-// background goroutines drain. BenchmarkWorkerQueryFanout measures a
-// multi-shard query across 8 shards: "seq" visits shards one at a time
-// (QueryParallelism 1), "parN" fans them across N goroutines.
-// scripts/bench_worker.sh turns both into BENCH_worker.json.
-
-func benchIngestWorker(b *testing.B, ingestWorkers int) {
-	schema := tpcds.Schema()
-	cfg := &image.ClusterConfig{Schema: schema, Store: core.StoreHilbertPDC, Keys: keys.MDS}
-	w := worker.NewWithOptions("bench", cfg, worker.Options{IngestWorkers: ingestWorkers})
-	defer w.Close()
-	if err := w.CreateShard(1); err != nil {
-		b.Fatal(err)
-	}
-	gen := tpcds.NewGenerator(schema, 11, 1.1)
-	pool := make([][]core.Item, 64)
-	for i := range pool {
-		pool[i] = gen.Items(ingestBatch)
-	}
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := w.Insert(ctx, 1, pool[i%len(pool)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	w.Flush() // drain outside the timed region; acks were the measurement
-	b.ReportMetric(float64(ingestBatch), "items/op")
-}
-
-func BenchmarkWorkerIngestParallel(b *testing.B) {
-	b.Run("inline", func(b *testing.B) { benchIngestWorker(b, 0) })
-	for _, n := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers%d", n), func(b *testing.B) { benchIngestWorker(b, n) })
-	}
-}
-
-const (
-	fanoutShards        = 8
-	fanoutItemsPerShard = 20000
-)
-
-func benchQueryFanout(b *testing.B, par int) {
-	schema := tpcds.Schema()
-	cfg := &image.ClusterConfig{Schema: schema, Store: core.StoreHilbertPDC, Keys: keys.MDS}
-	w := worker.NewWithOptions("bench", cfg, worker.Options{QueryParallelism: par})
-	defer w.Close()
-	ctx := context.Background()
-	gen := tpcds.NewGenerator(schema, 13, 1.1)
-	ids := make([]image.ShardID, fanoutShards)
-	for i := range ids {
-		ids[i] = image.ShardID(i + 1)
-		if err := w.CreateShard(ids[i]); err != nil {
-			b.Fatal(err)
-		}
-		if err := w.Insert(ctx, ids[i], gen.Items(fanoutItemsPerShard)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	// Medium/high-coverage rectangles force real descents in every shard
-	// (an all-space query would be answered from the root aggregates).
-	count := func(q keys.Rect) uint64 {
-		agg, _, err := w.QueryShards(ctx, q, ids)
-		if err != nil {
-			return 0
-		}
-		return agg.Count
-	}
-	bins := gen.GenerateBinned(count, uint64(fanoutShards*fanoutItemsPerShard), 10, 1000)
-	rng := rand.New(rand.NewSource(17))
-	qs := make([]keys.Rect, 64)
-	for i := range qs {
-		qs[i] = bins.Pick(rng, tpcds.Medium)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := w.QueryShards(ctx, qs[i%len(qs)], ids); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(fanoutShards), "shards/op")
-}
-
-func BenchmarkWorkerQueryFanout(b *testing.B) {
-	b.Run("seq", func(b *testing.B) { benchQueryFanout(b, 1) })
-	for _, n := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("par%d", n), func(b *testing.B) { benchQueryFanout(b, n) })
-	}
 }
 
 func BenchmarkPointInsertTree(b *testing.B) {

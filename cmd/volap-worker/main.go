@@ -34,7 +34,6 @@ func main() {
 	dataDir := flag.String("data-dir", "", "directory for WALs and snapshots (required unless -durability off); reuse it across restarts to recover")
 	ingestWorkers := flag.Int("ingest-workers", 0, "background insertion-drain goroutines; 0 keeps inserts synchronous")
 	maxPending := flag.Int("max-pending-items", 0, "per-shard insertion buffer bound before inserts block (0 = default 64Ki)")
-	queryPar := flag.Int("query-parallelism", 0, "max shards one query fans across concurrently (0 = GOMAXPROCS)")
 	flag.Parse()
 	if *id == "" {
 		fmt.Fprintln(os.Stderr, "volap-worker: -id is required")
@@ -67,14 +66,13 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *ingestWorkers < 0 || *maxPending < 0 || *queryPar < 0 {
-		fmt.Fprintln(os.Stderr, "volap-worker: -ingest-workers, -max-pending-items and -query-parallelism must not be negative")
+	if *ingestWorkers < 0 || *maxPending < 0 {
+		fmt.Fprintln(os.Stderr, "volap-worker: -ingest-workers and -max-pending-items must not be negative")
 		os.Exit(2)
 	}
 	w := worker.NewWithOptions(*id, cfg, worker.Options{
-		IngestWorkers:    *ingestWorkers,
-		MaxPendingItems:  *maxPending,
-		QueryParallelism: *queryPar,
+		IngestWorkers:   *ingestWorkers,
+		MaxPendingItems: *maxPending,
 	})
 	var rec *durable.Recovery
 	if mode != durable.ModeOff {

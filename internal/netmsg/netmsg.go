@@ -160,6 +160,11 @@ type Server struct {
 	closed   atomic.Bool
 	conns    map[net.Conn]struct{}
 
+	// ctx is every handler's parent context; Close cancels it so the
+	// handlers it waits for stop blocking.
+	ctx    context.Context
+	cancel context.CancelFunc
+
 	fault  *FaultInjector
 	party  string
 	panics *metrics.CounterVec // netmsg_handler_panics_total{op}; nil without SetMetrics
@@ -167,7 +172,9 @@ type Server struct {
 
 // NewServer returns a server with no handlers registered.
 func NewServer() *Server {
-	return &Server{handlers: make(map[string]Handler), conns: make(map[net.Conn]struct{})}
+	ctx, cancel := context.WithCancel(context.Background())
+	return &Server{handlers: make(map[string]Handler), conns: make(map[net.Conn]struct{}),
+		ctx: ctx, cancel: cancel}
 }
 
 // Handle registers the handler for an operation name. It must be called
@@ -295,7 +302,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			s.wg.Add(1)
 			go func() {
 				defer s.wg.Done()
-				ctx := context.Background()
+				ctx := s.ctx
 				if traceID != 0 {
 					ctx = WithTraceID(ctx, traceID)
 				}
@@ -345,7 +352,8 @@ func callHandler(ctx context.Context, h Handler, op string, payload []byte, pani
 	return h(ctx, payload)
 }
 
-// Close stops the server and closes all connections.
+// Close stops the server, closes all connections and cancels the
+// context of every handler still running, then waits for them.
 func (s *Server) Close() {
 	if !s.closed.CompareAndSwap(false, true) {
 		return
@@ -358,6 +366,7 @@ func (s *Server) Close() {
 		c.Close()
 	}
 	s.mu.Unlock()
+	s.cancel()
 	s.wg.Wait()
 }
 

@@ -216,6 +216,46 @@ func TestServerCloseUnblocksClients(t *testing.T) {
 	}
 }
 
+// TestCloseCancelsHandlers: Close cancels the context of the handlers
+// it waits for, so a handler blocked on its context (a long poll whose
+// client has gone) does not hold Close up. The trace ID survives.
+func TestCloseCancelsHandlers(t *testing.T) {
+	s := NewServer()
+	started := make(chan uint64, 1)
+	s.Handle("block", func(ctx context.Context, _ []byte) ([]byte, error) {
+		started <- TraceIDFrom(ctx)
+		select {
+		case <-ctx.Done():
+		case <-time.After(5 * time.Second):
+		}
+		return nil, nil
+	})
+	addr, err := s.Listen("inproc://close-cancels-test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	go c.RequestCtx(WithTraceID(context.Background(), 77), "block", nil)
+	select {
+	case id := <-started:
+		if id != 77 {
+			t.Fatalf("handler trace ID = %d, want 77", id)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("handler never started")
+	}
+	start := time.Now()
+	s.Close()
+	if d := time.Since(start); d >= time.Second {
+		t.Fatalf("Close took %v waiting for a blocked handler", d)
+	}
+}
+
 func TestLargePayload(t *testing.T) {
 	_, addr := startEcho(t, "inproc://large-test")
 	c, _ := Dial(addr)

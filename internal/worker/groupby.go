@@ -140,8 +140,9 @@ func CheckGroupBy(s *hierarchy.Schema, base keys.Rect, dim, level int) (keys.Rec
 }
 
 // GroupByShards folds one aggregate per value of the dimension's level
-// within base, across the given shards. Shards that migrated away are
-// chased through their forward address, like QueryShards.
+// within base, across the given shards one after another. Shards that
+// migrated away are chased through their forward address, and a done
+// ctx stops the loop before the next shard, like QueryShards.
 func (w *Worker) GroupByShards(ctx context.Context, base keys.Rect, dim, level int, ids []image.ShardID, defIdx int) (GroupByReply, error) {
 	base, groupSpan, err := CheckGroupBy(w.cfg.Schema, base, dim, level)
 	if err != nil {
@@ -149,6 +150,9 @@ func (w *Worker) GroupByShards(ctx context.Context, base keys.Rect, dim, level i
 	}
 	rep := GroupByReply{Groups: make(map[uint64]core.Aggregate)}
 	for _, id := range ids {
+		if err := ctx.Err(); err != nil {
+			return GroupByReply{}, err
+		}
 		if err := w.groupByOneShard(ctx, id, base, dim, level, groupSpan, defIdx, &rep); err != nil {
 			return GroupByReply{}, err
 		}

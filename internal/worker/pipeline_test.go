@@ -2,6 +2,7 @@ package worker
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -15,7 +16,7 @@ import (
 	"repro/internal/netmsg"
 )
 
-// startWorkerOpts is startWorker with explicit parallelism options.
+// startWorkerOpts is startWorker with explicit options.
 func startWorkerOpts(tb testing.TB, id string, opts Options) (*Worker, *netmsg.Client) {
 	tb.Helper()
 	inprocSeq++
@@ -164,8 +165,8 @@ func TestPipelineBackpressureCancel(t *testing.T) {
 // container transition (buffer -> store, buffer -> queue, queue ->
 // halves, queue -> shipped copy).
 func TestPipelineRaceStress(t *testing.T) {
-	src, _ := startWorkerOpts(t, "wrs-src", Options{IngestWorkers: 2, MaxPendingItems: 512, QueryParallelism: 4})
-	dst, _ := startWorkerOpts(t, "wrs-dst", Options{IngestWorkers: 2, MaxPendingItems: 512, QueryParallelism: 4})
+	src, _ := startWorkerOpts(t, "wrs-src", Options{IngestWorkers: 2, MaxPendingItems: 512})
+	dst, _ := startWorkerOpts(t, "wrs-dst", Options{IngestWorkers: 2, MaxPendingItems: 512})
 	if err := src.CreateShard(1); err != nil {
 		t.Fatal(err)
 	}
@@ -362,49 +363,27 @@ func TestPipelineDisabledSynchronous(t *testing.T) {
 	}
 }
 
-// TestQueryShardsParallelMatchesSequential: the parallel fan-out and the
-// sequential path agree exactly on every aggregate field.
-func TestQueryShardsParallelMatchesSequential(t *testing.T) {
-	seqW, _ := startWorkerOpts(t, "wqs-seq", Options{QueryParallelism: 1})
-	parW, _ := startWorkerOpts(t, "wqs-par", Options{QueryParallelism: 4})
+// TestReadsStopOnCancelledContext: a done context stops a multi-shard
+// read before its next shard, for plain queries and group-bys alike.
+func TestReadsStopOnCancelledContext(t *testing.T) {
+	w, _ := startWorkerOpts(t, "wcx", Options{})
 	rng := rand.New(rand.NewSource(81))
-	ids := []image.ShardID{1, 2, 3, 4, 5}
+	ids := []image.ShardID{1, 2}
 	for _, id := range ids {
-		if err := seqW.CreateShard(id); err != nil {
+		if err := w.CreateShard(id); err != nil {
 			t.Fatal(err)
 		}
-		if err := parW.CreateShard(id); err != nil {
-			t.Fatal(err)
-		}
-		items := randItems(rng, seqW.cfg, 800)
-		for i := range items {
-			items[i].Measure = float64(i%97) - 13
-		}
-		ctx := context.Background()
-		if err := seqW.Insert(ctx, id, items); err != nil {
-			t.Fatal(err)
-		}
-		if err := parW.Insert(ctx, id, items); err != nil {
+		if err := w.Insert(context.Background(), id, randItems(rng, w.cfg, 100)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ctx := context.Background()
-	qrng := rand.New(rand.NewSource(82))
-	for i := 0; i < 30; i++ {
-		lo := uint64(qrng.Intn(60))
-		hi := lo + uint64(qrng.Intn(40))
-		q := keys.AllRect(seqW.cfg.Schema)
-		q.Ivs[0].Lo, q.Ivs[0].Hi = lo, hi
-		sa, sn, err := seqW.QueryShards(ctx, q, ids)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pa, pn, err := parW.QueryShards(ctx, q, ids)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sa != pa || sn != pn {
-			t.Fatalf("query %d: sequential %v/%d != parallel %v/%d", i, sa, sn, pa, pn)
-		}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	all := keys.AllRect(w.cfg.Schema)
+	if _, _, err := w.QueryShards(ctx, all, ids); !errors.Is(err, context.Canceled) {
+		t.Fatalf("QueryShards on a cancelled context: err = %v, want context.Canceled", err)
+	}
+	if _, err := w.GroupByShards(ctx, all, 0, 0, ids, -1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("GroupByShards on a cancelled context: err = %v, want context.Canceled", err)
 	}
 }

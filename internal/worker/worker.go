@@ -11,7 +11,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -57,9 +56,8 @@ type shardState struct {
 	rollCells *metrics.Gauge
 }
 
-// Options tunes a worker's intra-node parallelism. The zero value
-// reproduces the paper's synchronous single-threaded-per-request
-// behavior exactly.
+// Options tunes a worker's ingest pipeline. The zero value reproduces
+// the paper's synchronous single-threaded-per-request behavior exactly.
 type Options struct {
 	// IngestWorkers is the size of the background drain pool of the
 	// asynchronous ingest pipeline. 0 (the default) disables the
@@ -70,10 +68,6 @@ type Options struct {
 	// that would overflow it blocks until a drain frees room
 	// (backpressure). 0 means DefaultMaxPendingItems.
 	MaxPendingItems int
-	// QueryParallelism bounds the per-request shard fan-out of
-	// multi-shard queries and the root fan-out of single-shard tree
-	// queries. 0 means GOMAXPROCS; 1 forces sequential processing.
-	QueryParallelism int
 }
 
 // withDefaults resolves zero fields.
@@ -83,9 +77,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxPendingItems <= 0 {
 		o.MaxPendingItems = DefaultMaxPendingItems
-	}
-	if o.QueryParallelism <= 0 {
-		o.QueryParallelism = runtime.GOMAXPROCS(0)
 	}
 	return o
 }
@@ -132,12 +123,11 @@ type Worker struct {
 	shardItems *metrics.GaugeVec     // worker_shard_items{shard}
 	forwards   *metrics.Counter      // worker_forwards_total
 
-	// Pipeline metrics. The two histograms record counts, not
-	// durations: a value of n is stored as n on the histogram's
-	// microsecond scale, so percentiles read back as plain counts.
-	ingestItems   *metrics.Gauge     // worker_ingest_queue_items
-	drainBatch    *metrics.Histogram // worker_drain_batch_items
-	queryParallel *metrics.Histogram // worker_query_parallel_shards
+	// Pipeline metrics. The histogram records counts, not durations:
+	// a value of n is stored as n on the histogram's microsecond
+	// scale, so percentiles read back as plain counts.
+	ingestItems *metrics.Gauge     // worker_ingest_queue_items
+	drainBatch  *metrics.Histogram // worker_drain_batch_items
 
 	// replication metrics
 	shipBytes  *metrics.Counter  // replica_ship_bytes_total
@@ -171,36 +161,35 @@ func IsStaleRouteMsg(msg string) bool {
 }
 
 // New builds a worker (not yet listening) with default options: the
-// synchronous ingest path and GOMAXPROCS query parallelism.
+// synchronous ingest path.
 func New(id string, cfg *image.ClusterConfig) *Worker {
 	return NewWithOptions(id, cfg, Options{})
 }
 
-// NewWithOptions builds a worker with explicit parallelism options.
+// NewWithOptions builds a worker with explicit ingest options.
 func NewWithOptions(id string, cfg *image.ClusterConfig, opts Options) *Worker {
 	opts = opts.withDefaults()
 	reg := metrics.NewRegistry()
 	w := &Worker{
-		id:            id,
-		cfg:           cfg,
-		opts:          opts,
-		shards:        make(map[image.ShardID]*shardState),
-		peers:         make(map[string]*netmsg.Client),
-		replicas:      make(map[image.ShardID]*replicaState),
-		reg:           reg,
-		trace:         metrics.NewTraceLog(0),
-		insertLat:     reg.Histogram("worker_insert_seconds", "shard"),
-		queryLat:      reg.Histogram("worker_query_seconds", "shard"),
-		shardItems:    reg.Gauge("worker_shard_items", "shard"),
-		forwards:      reg.Counter("worker_forwards_total").With(),
-		ingestItems:   reg.Gauge("worker_ingest_queue_items").With(),
-		drainBatch:    reg.Histogram("worker_drain_batch_items").With(),
-		queryParallel: reg.Histogram("worker_query_parallel_shards").With(),
-		shipBytes:     reg.Counter("replica_ship_bytes_total").With(),
-		shipFails:     reg.Counter("replica_ship_failures_total").With(),
-		replicaLag:    reg.Gauge("replica_lag_records", "shard"),
-		rollupHits:    reg.Counter("rollup_hits_total").With(),
-		rollupCells:   reg.Gauge("rollup_cells", "shard"),
+		id:          id,
+		cfg:         cfg,
+		opts:        opts,
+		shards:      make(map[image.ShardID]*shardState),
+		peers:       make(map[string]*netmsg.Client),
+		replicas:    make(map[image.ShardID]*replicaState),
+		reg:         reg,
+		trace:       metrics.NewTraceLog(0),
+		insertLat:   reg.Histogram("worker_insert_seconds", "shard"),
+		queryLat:    reg.Histogram("worker_query_seconds", "shard"),
+		shardItems:  reg.Gauge("worker_shard_items", "shard"),
+		forwards:    reg.Counter("worker_forwards_total").With(),
+		ingestItems: reg.Gauge("worker_ingest_queue_items").With(),
+		drainBatch:  reg.Histogram("worker_drain_batch_items").With(),
+		shipBytes:   reg.Counter("replica_ship_bytes_total").With(),
+		shipFails:   reg.Counter("replica_ship_failures_total").With(),
+		replicaLag:  reg.Gauge("replica_lag_records", "shard"),
+		rollupHits:  reg.Counter("rollup_hits_total").With(),
+		rollupCells: reg.Gauge("rollup_cells", "shard"),
 	}
 	if opts.IngestWorkers > 0 {
 		w.ingestCh = make(chan *shardState, 256)
@@ -808,12 +797,10 @@ func (w *Worker) handleQuery(ctx context.Context, p []byte) ([]byte, error) {
 	return out.Bytes(), nil
 }
 
-// QueryShards aggregates a set of shards, fanning them across up to
-// Options.QueryParallelism goroutines with per-shard partial merge; the
-// first error cancels the remaining shards' contexts. Single-shard
-// requests instead fan out across the tree's root subtrees
-// (core.ParallelQuerier). Returns the merged aggregate and how many
-// shards contributed.
+// QueryShards aggregates a set of shards one after another on the
+// request's goroutine; concurrency comes from serving many requests at
+// once. A done ctx stops the loop before the next shard. Returns the
+// merged aggregate and how many shards contributed.
 func (w *Worker) QueryShards(ctx context.Context, q keys.Rect, ids []image.ShardID) (core.Aggregate, uint32, error) {
 	rep, err := w.queryShards(ctx, q, ids, -1)
 	return rep.Agg, rep.ShardsSearched, err
@@ -823,75 +810,16 @@ func (w *Worker) QueryShards(ctx context.Context, q keys.Rect, ids []image.Shard
 // each shard may answer from (-1 forces the tree), reporting how many
 // shards took the rollup path.
 func (w *Worker) queryShards(ctx context.Context, q keys.Rect, ids []image.ShardID, defIdx int) (QueryReply, error) {
-	par := w.opts.QueryParallelism
-	if len(ids) <= 1 || par <= 1 {
-		// Sequential path; a lone shard still parallelizes inside its
-		// tree when it is the only work on the request.
-		rep := QueryReply{Agg: core.NewAggregate()}
-		treePar := 1
-		if len(ids) == 1 {
-			treePar = par
-		}
-		for _, id := range ids {
-			part, err := w.queryOneShard(ctx, id, q, treePar, defIdx)
-			if err != nil {
-				return QueryReply{Agg: core.NewAggregate()}, err
-			}
-			mergeShardAnswer(&rep, part)
-		}
-		return rep, nil
-	}
-
-	if par > len(ids) {
-		par = len(ids)
-	}
-	w.queryParallel.Record(time.Duration(par) * time.Microsecond)
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type partial struct {
-		ans shardAnswer
-		err error
-	}
-	parts := make([]partial, len(ids))
-	next := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(par)
-	for g := 0; g < par; g++ {
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if ctx.Err() != nil {
-					parts[i].err = ctx.Err()
-					continue
-				}
-				ans, err := w.queryOneShard(ctx, ids[i], q, 1, defIdx)
-				parts[i] = partial{ans: ans, err: err}
-				if err != nil {
-					cancel() // first error stops the fan-out
-				}
-			}
-		}()
-	}
-	for i := range ids {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-
-	// Merge in shard order so float sums stay deterministic for a given
-	// request; report the first real error (not a cancellation echo).
 	rep := QueryReply{Agg: core.NewAggregate()}
-	var firstErr error
-	for _, p := range parts {
-		if p.err != nil && (firstErr == nil || errors.Is(firstErr, context.Canceled)) {
-			firstErr = p.err
+	for _, id := range ids {
+		if err := ctx.Err(); err != nil {
+			return QueryReply{Agg: core.NewAggregate()}, err
 		}
-	}
-	if firstErr != nil {
-		return QueryReply{Agg: core.NewAggregate()}, firstErr
-	}
-	for _, p := range parts {
-		mergeShardAnswer(&rep, p.ans)
+		part, err := w.queryOneShard(ctx, id, q, defIdx)
+		if err != nil {
+			return QueryReply{Agg: core.NewAggregate()}, err
+		}
+		mergeShardAnswer(&rep, part)
 	}
 	return rep, nil
 }
@@ -924,17 +852,17 @@ func mergeShardAnswer(rep *QueryReply, ans shardAnswer) {
 // (false for unknown shards, which can happen transiently when a
 // server's image is ahead of this worker).
 func (w *Worker) QueryShard(ctx context.Context, id image.ShardID, q keys.Rect) (core.Aggregate, bool, error) {
-	ans, err := w.queryOneShard(ctx, id, q, 1, -1)
+	ans, err := w.queryOneShard(ctx, id, q, -1)
 	return ans.agg, ans.ok, err
 }
 
-// queryOneShard answers one shard with an explicit tree-level
-// parallelism bound and an optional rollup definition index. When the
+// queryOneShard answers one shard with an optional rollup definition
+// index. When the
 // definition's grid covers q and the shard holds its table, the answer
 // is the covering cells merged with the insertion buffer and the
 // split/migration queue — exactly what the tree path reads, at cell
 // granularity instead of item granularity.
-func (w *Worker) queryOneShard(ctx context.Context, id image.ShardID, q keys.Rect, treePar, defIdx int) (shardAnswer, error) {
+func (w *Worker) queryOneShard(ctx context.Context, id image.ShardID, q keys.Rect, defIdx int) (shardAnswer, error) {
 	st := w.shard(id)
 	if st == nil {
 		return shardAnswer{agg: core.NewAggregate()}, nil
@@ -973,8 +901,6 @@ func (w *Worker) queryOneShard(ctx context.Context, id image.ShardID, q keys.Rec
 		agg, cells = t.Query(q)
 		hit = true
 		w.rollupHits.Inc()
-	} else if pq, ok := store.(core.ParallelQuerier); ok && treePar > 1 {
-		agg = pq.QueryParallel(q, treePar)
 	} else {
 		agg = store.Query(q)
 	}

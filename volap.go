@@ -286,10 +286,6 @@ type Options struct {
 	// beyond it block (backpressure). 0 = worker default (64Ki items).
 	// Only meaningful with IngestWorkers > 0.
 	MaxPendingItems int
-	// QueryParallelism bounds how many shards one query request fans
-	// across concurrently inside a worker (0 = GOMAXPROCS, 1 =
-	// sequential).
-	QueryParallelism int
 
 	// Durability selects the worker persistence contract (default off —
 	// byte-identical to the paper's in-memory system). With async or
@@ -390,9 +386,6 @@ func (o *Options) defaults() error {
 	if o.MaxPendingItems < 0 {
 		return fmt.Errorf("volap: Options.MaxPendingItems = %d must not be negative", o.MaxPendingItems)
 	}
-	if o.QueryParallelism < 0 {
-		return fmt.Errorf("volap: Options.QueryParallelism = %d must not be negative", o.QueryParallelism)
-	}
 	if o.Durability != DurabilityOff && o.DataDir == "" {
 		return errors.New("volap: Options.DataDir is required when Durability is enabled")
 	}
@@ -420,9 +413,8 @@ func (o *Options) defaults() error {
 // workerOpts translates the cluster options into per-worker tuning.
 func (o *Options) workerOpts() worker.Options {
 	return worker.Options{
-		IngestWorkers:    o.IngestWorkers,
-		MaxPendingItems:  o.MaxPendingItems,
-		QueryParallelism: o.QueryParallelism,
+		IngestWorkers:   o.IngestWorkers,
+		MaxPendingItems: o.MaxPendingItems,
 	}
 }
 
