@@ -182,17 +182,18 @@ func TestChaosKillWorkerMidInsertStream(t *testing.T) {
 // flushing, like SIGKILL), the cluster degrades to partial results, and a
 // replacement process over the same data directory recovers every
 // acknowledged insert — queries converge back to full results with zero
-// missing shards.
+// missing shards. Acknowledgements race the background drains, but sync
+// durability still guarantees no acked-and-lost items across Crash +
+// RestartWorker. It runs the default pool of drains.
 func TestChaosKillRestartRecover(t *testing.T) {
 	chaosKillRestartRecover(t, 0)
 }
 
 // TestChaosKillRestartRecoverPipeline is the same crash/recover drill
-// with the asynchronous ingest pipeline enabled: acknowledgements now
-// race the background drains, but sync durability still guarantees no
-// acked-and-lost items across Crash + RestartWorker.
+// with a single drain per worker, so more acknowledged items are still
+// buffered, not yet in a store, when the worker dies.
 func TestChaosKillRestartRecoverPipeline(t *testing.T) {
-	chaosKillRestartRecover(t, 2)
+	chaosKillRestartRecover(t, 1)
 }
 
 func chaosKillRestartRecover(t *testing.T, ingestWorkers int) {
@@ -473,16 +474,18 @@ func TestChaosHeartbeatDropPastTTL(t *testing.T) {
 // promotes the freshest follower as soon as the dead primary's session
 // expiry is observed, and one image refresh later queries are complete
 // again with zero missing shards and the exact acknowledged count.
+// Replication ships under the same read-lock hold as the buffer + WAL
+// append, so acked-but-undrained items survive the primary's death too.
+// It runs the default pool of drains.
 func TestChaosPrimaryFailover(t *testing.T) {
 	chaosPrimaryFailover(t, 0)
 }
 
-// TestChaosPrimaryFailoverPipeline is the same failover drill with the
-// asynchronous ingest pipeline enabled: replication ships under the same
-// read-lock hold as the buffer + WAL append, so acked-but-undrained
-// items survive the primary's death too.
+// TestChaosPrimaryFailoverPipeline is the same failover drill with a
+// single drain per worker, so more acknowledged items are still buffered
+// on the primary when it dies.
 func TestChaosPrimaryFailoverPipeline(t *testing.T) {
-	chaosPrimaryFailover(t, 2)
+	chaosPrimaryFailover(t, 1)
 }
 
 func chaosPrimaryFailover(t *testing.T, ingestWorkers int) {

@@ -32,7 +32,7 @@ func main() {
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /debug/volap on this address (off when empty)")
 	durability := flag.String("durability", "off", "persistence contract: off (in-memory), async (background group commit) or sync (fsync before ack)")
 	dataDir := flag.String("data-dir", "", "directory for WALs and snapshots (required unless -durability off); reuse it across restarts to recover")
-	ingestWorkers := flag.Int("ingest-workers", 0, "background insertion-drain goroutines; 0 keeps inserts synchronous")
+	ingestWorkers := flag.Int("ingest-workers", 0, "background insertion-drain goroutines (0 = default 2)")
 	maxPending := flag.Int("max-pending-items", 0, "per-shard insertion buffer bound before inserts block (0 = default 64Ki)")
 	flag.Parse()
 	if *id == "" {

@@ -364,7 +364,7 @@ func planHyperplane(k *keys.Key, sample [][]uint64, cfg Config) Hyperplane {
 // Split partitions the store's current contents into two new stores
 // separated by the hyperplane (§III-E). The receiver keeps serving reads
 // during the pass; items inserted concurrently may be missed, which is why
-// the worker diverts inserts to an insertion queue for the duration.
+// the worker keeps inserts in its insertion buffer for the duration.
 func (t *tree) Split(h Hyperplane) (Store, Store, error) {
 	return splitStore(t, h)
 }

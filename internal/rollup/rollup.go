@@ -9,9 +9,9 @@
 // becomes a fold over cells.
 //
 // Tables mirror the shard *store* exactly: the worker folds every batch
-// it applies to the store (sync inserts, pipeline drains) into the
-// tables under the same shard-lock hold, and rollup reads merge the
-// insertion buffer and split/migration queue on top — so a rollup
+// it applies to the store (bulk loads, buffer drains) into the tables
+// under the same shard-lock hold, and rollup reads merge the insertion
+// buffer on top — so a rollup
 // answer equals a raw scan at every instant the shard read lock can
 // observe.
 package rollup
@@ -456,16 +456,6 @@ func (set *Set) Add(items []core.Item) {
 	}
 	for _, t := range set.tables {
 		t.Add(items)
-	}
-}
-
-// AddItem folds one item into every table.
-func (set *Set) AddItem(coords []uint64, measure float64) {
-	if set == nil {
-		return
-	}
-	for _, t := range set.tables {
-		t.AddItem(coords, measure)
 	}
 }
 

@@ -278,7 +278,6 @@ func TestTrailerRoundTrip(t *testing.T) {
 func TestSetNilSafety(t *testing.T) {
 	var set *Set
 	set.Add([]core.Item{{Coords: []uint64{0, 0}, Measure: 1}})
-	set.AddItem([]uint64{0, 0}, 1)
 	if set.Table(0) != nil {
 		t.Fatal("nil set returned a table")
 	}

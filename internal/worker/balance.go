@@ -13,9 +13,11 @@ import (
 
 // This file implements the worker-side load-balancing operations of
 // §III-E: SplitQuery, Split (with the mapping-table replacement of one
-// shard by two), and shard migration (serialize, transfer, queue drain,
-// forwarding). All of them keep the shard fully readable and writable:
-// inserts land in an insertion queue and queries consult shard + queue.
+// shard by two), and shard migration (serialize, transfer, buffer rounds,
+// forwarding). All of them keep the shard fully readable and writable: a
+// moving shard's drains pause, so its store stays frozen for the split or
+// serialization, while inserts keep landing in its insertion buffer and
+// queries keep consulting store + buffer.
 
 // SplitResult reports the outcome of a shard split.
 type SplitResult struct {
@@ -61,9 +63,10 @@ func (w *Worker) handleSplitQuery(_ context.Context, p []byte) ([]byte, error) {
 	if st == nil {
 		return nil, fmt.Errorf("worker %s: unknown shard %d", w.id, id)
 	}
-	st.mu.RLock()
+	st.mu.Lock()
+	w.drainLocked(st) // plan over every acked item, as the split does
 	store := st.store
-	st.mu.RUnlock()
+	st.mu.Unlock()
 	if store == nil {
 		return nil, fmt.Errorf("worker %s: shard %d unavailable", w.id, id)
 	}
@@ -100,58 +103,37 @@ func (w *Worker) handleSplitShard(_ context.Context, p []byte) ([]byte, error) {
 
 // SplitShard splits the shard in place: the original ID keeps the lower
 // half and newID receives the upper half (§III-E Split + mapping table).
-// Inserts arriving during the split land in the insertion queue and are
-// re-routed across the halves by the hyperplane afterwards; queries are
+// Inserts arriving during the split wait in the insertion buffer and are
+// routed across the halves by the hyperplane afterwards; queries are
 // never blocked.
 func (w *Worker) SplitShard(id, newID image.ShardID) (*SplitResult, error) {
 	st := w.shard(id)
 	if st == nil {
 		return nil, fmt.Errorf("worker %s: unknown shard %d", w.id, id)
 	}
-	if w.shard(newID) != nil {
-		return nil, fmt.Errorf("worker %s: shard %d already hosted", w.id, newID)
-	}
-
-	// Install the insertion queue.
-	queue, err := core.NewStore(w.cfg.StoreConfig())
+	store, _, err := w.startMove(st, id)
 	if err != nil {
 		return nil, err
 	}
-	st.mu.Lock()
-	store := st.store
-	if store == nil || st.queue != nil {
-		st.mu.Unlock()
-		return nil, fmt.Errorf("worker %s: shard %d busy or gone", w.id, id)
+	// Reserve newID with an empty state, which reads skip, so the swap
+	// below can publish both halves in one critical section: a read of
+	// shard id that sees the left half then sees the right half too.
+	newState := w.newShardState(newID)
+	w.mu.Lock()
+	_, dup := w.shards[newID]
+	if !dup {
+		w.shards[newID] = newState
 	}
-	// Flush buffered inserts into the store before the queue takes
-	// over, so the split plan and both halves observe every
-	// acknowledged item; while the queue is installed, inserts bypass
-	// the buffer entirely. Replication links are torn down here: a
-	// follower's standby would become a stale superset of the halves
-	// (promoting it would double-count), so the manager clears the
-	// replica set and re-seeds both halves afresh.
-	w.drainLocked(st)
-	teardownReplLocked(st)
-	st.queue = queue
-	st.mu.Unlock()
-
+	w.mu.Unlock()
+	if dup {
+		return nil, w.endMove(st, fmt.Errorf("worker %s: shard %d already hosted", w.id, newID))
+	}
 	fail := func(err error) (*SplitResult, error) {
-		// Roll back: drain the queue into the store (and the rollup
-		// tables, which mirror it) and remove it.
-		st.mu.Lock()
-		q := st.queue
-		st.queue = nil
-		st.mu.Unlock()
-		if q != nil {
-			q.Items(func(it core.Item) bool {
-				_ = st.store.Insert(it)
-				st.roll.AddItem(it.Coords, it.Measure)
-				return true
-			})
-		}
-		return nil, err
+		w.mu.Lock()
+		delete(w.shards, newID)
+		w.mu.Unlock()
+		return nil, w.endMove(st, err)
 	}
-
 	h, err := store.SplitQuery()
 	if err != nil {
 		return fail(err)
@@ -161,33 +143,27 @@ func (w *Worker) SplitShard(id, newID image.ShardID) (*SplitResult, error) {
 		return fail(err)
 	}
 
-	// Swap in the halves, draining the queue across them by hyperplane.
-	newState := w.newShardState(newID)
-	newState.store = right
+	// Route the buffered items across the halves by hyperplane, then swap
+	// the halves in.
 	st.mu.Lock()
-	q := st.queue
-	st.queue = nil
-	alt := 0
-	q.Items(func(it core.Item) bool {
-		toLeft := h.Dim >= 0 && it.Coords[h.Dim] <= h.Value
-		if h.Dim < 0 {
-			toLeft = alt%2 == 0
-			alt++
-		}
-		if toLeft {
-			_ = left.Insert(it)
+	newState.mu.Lock()
+	batch := st.buf.takeAll()
+	w.ingestItems.Add(-float64(len(batch)))
+	var toLeft, toRight []core.Item
+	for i, it := range batch {
+		if h.Dim >= 0 && it.Coords[h.Dim] <= h.Value || h.Dim < 0 && i%2 == 0 {
+			toLeft = append(toLeft, it)
 		} else {
-			_ = right.Insert(it)
+			toRight = append(toRight, it)
 		}
-		return true
-	})
-	st.store = left
+	}
+	_ = left.BulkLoad(toLeft) // validated at ack time
+	_ = right.BulkLoad(toRight)
 	// Rollup tables are not subtractable (Min/Max), so both halves
-	// rebuild theirs from the new stores while the write lock excludes
+	// rebuild theirs from the new stores while the write locks exclude
 	// readers and writers.
-	st.roll = rollup.Rebuild(w.cfg.Schema, w.cfg.Rollups, left.Items)
-	newState.roll = rollup.Rebuild(w.cfg.Schema, w.cfg.Rollups, right.Items)
-	st.setGauges()
+	leftRoll := rollup.Rebuild(w.cfg.Schema, w.cfg.Rollups, left.Items)
+	rightRoll := rollup.Rebuild(w.cfg.Schema, w.cfg.Rollups, right.Items)
 
 	// Make the flip durable while the write lock still excludes inserts:
 	// adopt the right half under its new identity, then seal the original
@@ -199,34 +175,39 @@ func (w *Worker) SplitShard(id, newID image.ShardID) (*SplitResult, error) {
 	var leftBlob []byte
 	if w.dur != nil {
 		durErr := w.dur.AdoptShard(uint64(newID),
-			append(right.Serialize(), newState.roll.EncodeTrailer()...))
+			append(right.Serialize(), rightRoll.EncodeTrailer()...))
 		if durErr == nil {
-			leftBlob = append(left.Serialize(), st.roll.EncodeTrailer()...)
+			leftBlob = append(left.Serialize(), leftRoll.EncodeTrailer()...)
 			durErr = w.dur.RotateWAL(uint64(id))
 		}
 		if durErr != nil {
-			// Durable state refused the split: merge the halves back and
-			// report failure so the mapping table never flips.
-			right.Items(func(it core.Item) bool { _ = left.Insert(it); return true })
-			st.roll = rollup.Rebuild(w.cfg.Schema, w.cfg.Rollups, left.Items)
+			// Durable state refused the split: keep the original store
+			// (Split does not change it), apply the buffered items to it,
+			// and report failure so the mapping table never flips.
+			_ = store.BulkLoad(batch)
+			st.roll.Add(batch)
+			st.moving = false
 			st.setGauges()
+			newState.mu.Unlock()
 			st.mu.Unlock()
+			w.mu.Lock()
+			delete(w.shards, newID)
+			w.mu.Unlock()
 			return nil, durErr
 		}
 	}
-	st.mu.Unlock()
+	st.store, st.roll, st.moving = left, leftRoll, false
+	newState.store, newState.roll = right, rightRoll
+	st.setGauges()
 	newState.setGauges()
-
-	w.mu.Lock()
-	w.shards[newID] = newState
-	w.mu.Unlock()
+	newState.mu.Unlock()
+	st.mu.Unlock()
 
 	if w.dur != nil {
 		if err := w.dur.WriteSnapshot(uint64(id), leftBlob); err != nil {
 			return nil, err
 		}
 	}
-
 	return &SplitResult{
 		LeftID: id, RightID: newID,
 		LeftCount: left.Count(), RightCount: right.Count(),
@@ -258,123 +239,118 @@ func (w *Worker) handleSendShard(_ context.Context, p []byte) ([]byte, error) {
 	return out.Bytes(), nil
 }
 
-// SendShard migrates a shard to the worker at destAddr (§III-E): an
-// insertion queue absorbs writes while the shard is serialized and
-// transferred, the queue is drained to the destination, and a forwarding
-// entry serves stragglers until every server image has caught up. Returns
-// the number of items shipped.
+// SendShard migrates a shard to the worker at destAddr (§III-E): the
+// shard is serialized and transferred while its drains pause, the items
+// acknowledged since then follow in rounds, and a forwarding entry serves
+// stragglers until every server image has caught up. Until the final
+// round flips the shard to forwarding, every item stays at the source,
+// which keeps answering for all of them; a failed move just resumes the
+// drains. Returns the number of items shipped.
 func (w *Worker) SendShard(id image.ShardID, destAddr string) (uint64, error) {
 	st := w.shard(id)
 	if st == nil {
 		return 0, fmt.Errorf("worker %s: unknown shard %d", w.id, id)
 	}
-	queue, err := core.NewStore(w.cfg.StoreConfig())
+	store, roll, err := w.startMove(st, id)
 	if err != nil {
 		return 0, err
 	}
-	st.mu.Lock()
-	store := st.store
-	if store == nil || st.queue != nil {
-		st.mu.Unlock()
-		return 0, fmt.Errorf("worker %s: shard %d busy or gone", w.id, id)
-	}
-	// As in SplitShard: the serialized snapshot below must contain every
-	// acknowledged item, and the queue absorbs everything after it.
-	// Replication ends here too — the destination owner gets a fresh
-	// replica set from the manager's next ensure pass.
-	w.drainLocked(st)
-	teardownReplLocked(st)
-	st.queue = queue
-	roll := st.roll
-	st.mu.Unlock()
-
-	rollback := func(err error) (uint64, error) {
-		st.mu.Lock()
-		q := st.queue
-		st.queue = nil
-		st.mu.Unlock()
-		if q != nil {
-			q.Items(func(it core.Item) bool {
-				_ = store.Insert(it)
-				roll.AddItem(it.Coords, it.Measure)
-				return true
-			})
-		}
-		return 0, err
-	}
-
 	peer, err := w.peer(destAddr)
 	if err != nil {
-		return rollback(err)
+		return 0, w.endMove(st, err)
 	}
 
 	// Transfer the serialized shard with its rollup trailer, so the
 	// destination installs the tables without rescanning the items
-	// (inserts are diverted to the queue, so neither moves underneath).
+	// (drains are paused, so neither moves underneath).
 	blob := append(store.Serialize(), roll.EncodeTrailer()...)
 	req := wire.NewWriter(len(blob) + 16)
 	req.Uvarint(uint64(id))
 	req.Bytes1(blob)
 	if _, err := peer.Request("worker.receiveshard", req.Bytes()); err != nil {
-		return rollback(err)
+		return 0, w.endMove(st, err)
 	}
-	shipped := store.Count()
 
-	// Drain the queue in rounds: swap a fresh queue in, ship the old one,
-	// and finish under the write lock when a round comes up empty.
-	for round := 0; ; round++ {
-		st.mu.Lock()
-		q := st.queue
-		if q.Count() == 0 || round >= 8 {
-			// Final round: forward everything still queued while holding
-			// the lock, then flip to forwarding mode.
-			var leftover []core.Item
-			q.Items(func(it core.Item) bool { leftover = append(leftover, it); return true })
-			if len(leftover) > 0 {
-				if _, err := peer.Request("worker.insert", EncodeInsertRequest(id, w.cfg.Schema.NumDims(), leftover)); err != nil {
-					st.mu.Unlock()
-					return rollback(err)
-				}
-				shipped += uint64(len(leftover))
-			}
-			st.store = nil
-			st.queue = nil
-			st.roll = nil
-			st.setGauges()
-			st.forward = destAddr
-			st.mu.Unlock()
-			// The destination has acknowledged the full copy (snapshot +
-			// drained queue), so release our durable ownership: a synced
-			// WAL record, a manifest tombstone, then file deletion. If the
-			// release itself fails the migration still reports failure —
-			// the mapping table keeps pointing here and the forwarding
-			// entry serves traffic, while recovery may resurrect the shard
-			// as a second complete copy (the re-registration CAS converges
-			// routing onto one of them).
-			if w.dur != nil {
-				if err := w.dur.ReleaseShard(uint64(id)); err != nil {
-					return shipped, err
-				}
-			}
-			return shipped, nil
+	// Ship the buffered items in rounds, leaving them buffered, and
+	// finish under the write lock once a round comes up empty.
+	ship := func(items []core.Item) error {
+		if len(items) == 0 {
+			return nil
 		}
-		fresh, err := core.NewStore(w.cfg.StoreConfig())
-		if err != nil {
-			st.mu.Unlock()
-			return rollback(err)
+		_, err := peer.Request("worker.insert", EncodeInsertRequest(id, w.cfg.Schema.NumDims(), items))
+		return err
+	}
+	sent := 0
+	for round := 0; round < 8; round++ {
+		batch := st.buf.since(sent)
+		if len(batch) == 0 {
+			break
 		}
-		st.queue = fresh
+		if err := ship(batch); err != nil {
+			return 0, w.endMove(st, err)
+		}
+		sent += len(batch)
+	}
+	st.mu.Lock()
+	if err := ship(st.buf.since(sent)); err != nil {
 		st.mu.Unlock()
-
-		var batch []core.Item
-		q.Items(func(it core.Item) bool { batch = append(batch, it); return true })
-		if len(batch) > 0 {
-			if _, err := peer.Request("worker.insert", EncodeInsertRequest(id, w.cfg.Schema.NumDims(), batch)); err != nil {
-				return rollback(err)
-			}
-			shipped += uint64(len(batch))
+		return 0, w.endMove(st, err)
+	}
+	// Emptying the buffer wakes inserters waiting for room; they see the
+	// forwarding entry and forward.
+	moved := st.buf.takeAll()
+	w.ingestItems.Add(-float64(len(moved)))
+	st.store = nil
+	st.roll = nil
+	st.moving = false
+	st.forward = destAddr
+	st.setGauges()
+	st.mu.Unlock()
+	shipped := store.Count() + uint64(len(moved))
+	// The destination has acknowledged the full copy (snapshot + every
+	// round), so release our durable ownership: a synced WAL record, a
+	// manifest tombstone, then file deletion. If the release itself fails
+	// the migration still reports failure — the mapping table keeps
+	// pointing here and the forwarding entry serves traffic, while
+	// recovery may resurrect the shard as a second complete copy (the
+	// re-registration CAS converges routing onto one of them).
+	if w.dur != nil {
+		if err := w.dur.ReleaseShard(uint64(id)); err != nil {
+			return shipped, err
 		}
 	}
+	return shipped, nil
+}
+
+// startMove begins a split or migration of a hosted shard: under the
+// write lock it drains the buffer, so the move observes every
+// acknowledged item, tears down replication, and pauses the drains.
+// Returns the store, which stays frozen until the move ends, and its
+// rollup tables. Replication ends here because a follower's standby
+// would become a stale superset of a split's halves (promoting it would
+// double-count), and a migrated shard's new owner gets a fresh replica
+// set: the manager clears the replica set and re-seeds on its next
+// ensure pass.
+func (w *Worker) startMove(st *shardState, id image.ShardID) (core.Store, *rollup.Set, error) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if !w.drainLocked(st) {
+		return nil, nil, fmt.Errorf("worker %s: shard %d busy or gone", w.id, id)
+	}
+	teardownReplLocked(st)
+	st.moving = true
+	return st.store, st.roll, nil
+}
+
+// endMove abandons a split or migration: every item acknowledged during
+// it is still in the buffer, so resuming the drains is the whole
+// rollback. Returns err.
+func (w *Worker) endMove(st *shardState, err error) error {
+	st.mu.Lock()
+	st.moving = false
+	st.mu.Unlock()
+	w.notifyIngest(st)
+	return err
 }
 
 func (w *Worker) handleReceiveShard(_ context.Context, p []byte) ([]byte, error) {
@@ -401,7 +377,7 @@ func (w *Worker) handleReceiveShard(_ context.Context, p []byte) ([]byte, error)
 	defer w.mu.Unlock()
 	if st, ok := w.shards[id]; ok {
 		st.mu.RLock()
-		occupied := st.store != nil || st.queue != nil
+		occupied := st.store != nil
 		st.mu.RUnlock()
 		if occupied {
 			return nil, fmt.Errorf("worker %s: shard %d already hosted", w.id, id)

@@ -13,9 +13,10 @@ import (
 // This file attaches the durable subsystem to the worker. The ordering
 // contract with internal/durable:
 //
-//   - inserts apply to the store/queue and append to the shard's WAL
-//     under the shard's read lock, so a checkpoint (serialize + WAL
-//     rotation under the write lock) observes no half-applied pair —
+//   - inserts enter the buffer (or, for bulk loads, the store) and append
+//     to the shard's WAL under the shard's read lock, so a checkpoint
+//     (drain + serialize + WAL rotation under the write lock) observes no
+//     half-applied pair —
 //     every record in sealed generations is contained in the snapshot,
 //     and replay never double-applies;
 //   - a split adopts the new right half durably and checkpoints the
@@ -86,7 +87,7 @@ func (w *Worker) AttachDurability(d *durable.Log) (*durable.Recovery, error) {
 // Durability returns the attached log (nil when running in-memory only).
 func (w *Worker) Durability() *durable.Log { return w.dur }
 
-// appendInsert logs an applied insert batch; the caller holds the
+// appendInsert logs an acknowledged insert batch; the caller holds the
 // shard's read lock, ordering it against checkpoints.
 func (w *Worker) appendInsert(id image.ShardID, items []core.Item) error {
 	if w.dur == nil {
@@ -112,11 +113,10 @@ func (w *Worker) CheckpointShard(id image.ShardID) error {
 	// into the store before it is serialized — otherwise the rotation
 	// would seal their records out of replay.
 	st.mu.Lock()
-	if st.store == nil || st.queue != nil {
+	if !w.drainLocked(st) {
 		st.mu.Unlock()
 		return nil
 	}
-	w.drainLocked(st)
 	// Composite blob: the store image plus the rollup trailer, so
 	// recovery restores the tables without rescanning the raw items.
 	blob := append(st.store.Serialize(), st.roll.EncodeTrailer()...)

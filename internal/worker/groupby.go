@@ -18,9 +18,9 @@ import (
 // shard whose rollup table retains the grouped dimension at or below
 // the requested level answers at cell granularity; everything else
 // walks the shard's tree once (core.Store.GroupQuery). Either way the
-// shard's split/migration queue (one more GroupQuery) and insertion
-// buffer (item by item) fold in under the same read-lock hold the plain
-// query path uses, so group-by sees exactly the acknowledged items.
+// shard's insertion buffer folds in item by item under the same read-lock
+// hold the plain query path uses, so group-by sees exactly the
+// acknowledged items.
 
 // EncodeGroupByRequest builds the payload for worker.groupby. defIdx is
 // the cluster rollup definition shards may answer from (-1 forces the
@@ -168,7 +168,7 @@ func (w *Worker) groupByOneShard(ctx context.Context, id image.ShardID, base key
 	}
 	defer st.queryLat.Time()()
 	st.mu.RLock()
-	store, queue, forward := st.store, st.queue, st.forward
+	store, forward := st.store, st.forward
 	if store == nil && forward != "" {
 		st.mu.RUnlock()
 		peer, err := w.peer(forward)
@@ -198,8 +198,8 @@ func (w *Worker) groupByOneShard(ctx context.Context, id image.ShardID, base key
 		st.mu.RUnlock()
 		return nil
 	}
-	// Same read-lock discipline as queryOneShard: the store, queue, and
-	// insertion buffer cannot change containers underneath us.
+	// Same read-lock discipline as queryOneShard: no item can move between
+	// the store and the insertion buffer underneath us.
 	defer st.mu.RUnlock()
 	if t := st.roll.Table(defIdx); t != nil && defIdx >= 0 &&
 		t.Def().Covers(w.cfg.Schema, base) && t.Def().Depths[dim] >= level+1 {
@@ -210,21 +210,16 @@ func (w *Worker) groupByOneShard(ctx context.Context, id image.ShardID, base key
 	} else {
 		store.GroupQuery(base, dim, groupSpan, rep.Groups)
 	}
-	if queue != nil {
-		queue.GroupQuery(base, dim, groupSpan, rep.Groups)
-	}
 	// Buffered items are in neither the tree nor the rollup tables.
-	if st.buf != nil {
-		st.buf.scan(base, func(it core.Item) {
-			v := it.Coords[dim] / groupSpan
-			agg, ok := rep.Groups[v]
-			if !ok {
-				agg = core.NewAggregate()
-			}
-			agg.AddItem(it.Measure)
-			rep.Groups[v] = agg
-		})
-	}
+	st.buf.scan(base, func(it core.Item) {
+		v := it.Coords[dim] / groupSpan
+		agg, ok := rep.Groups[v]
+		if !ok {
+			agg = core.NewAggregate()
+		}
+		agg.AddItem(it.Measure)
+		rep.Groups[v] = agg
+	})
 	rep.ShardsSearched++
 	return nil
 }

@@ -94,7 +94,7 @@ func (w *Worker) replica(id image.ShardID) *replicaState {
 }
 
 // teardownReplLocked disconnects the shard from its followers. The
-// caller holds the shard write lock (queue install for split/migration,
+// caller holds the shard write lock (the start of a split or migration,
 // or demote), so no ship is in flight. Follower standby state is the
 // manager's to clean up: it clears the meta replica set and drops the
 // stale standbys, then re-seeds on the next ensure pass.
@@ -164,7 +164,7 @@ func (w *Worker) shipToReplicas(ctx context.Context, st *shardState, id image.Sh
 // shipping subsequent inserts to it. The whole sequence — drain,
 // serialize, seed RPC, link registration — runs under the shard write
 // lock, so no insert can slip between the snapshot and the stream (the
-// same discipline SendShard uses for its final queue round). Returns the
+// same discipline SendShard uses for its final round). Returns the
 // item count of the seeded snapshot.
 func (w *Worker) AddReplica(id image.ShardID, followerID, followerAddr string) (uint64, error) {
 	st := w.shard(id)
@@ -177,10 +177,9 @@ func (w *Worker) AddReplica(id image.ShardID, followerID, followerAddr string) (
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.store == nil || st.queue != nil {
+	if !w.drainLocked(st) {
 		return 0, fmt.Errorf("worker %s: shard %d busy or gone", w.id, id)
 	}
-	w.drainLocked(st)
 	if st.repl == nil {
 		st.repl = &replShip{followers: make(map[string]*followerLink)}
 	}
@@ -241,7 +240,7 @@ func (w *Worker) Promote(id image.ShardID) (uint64, error) {
 		// A forwarding tombstone from an old migration may linger; an
 		// occupied shard means a routing error upstream.
 		st.mu.Lock()
-		occupied := st.store != nil || st.queue != nil
+		occupied := st.store != nil
 		if !occupied {
 			st.store = store
 			st.roll = roll
@@ -282,11 +281,10 @@ func (w *Worker) Demote(id image.ShardID, destAddr string) error {
 		return fmt.Errorf("worker %s: unknown shard %d", w.id, id)
 	}
 	st.mu.Lock()
-	if st.store == nil || st.queue != nil {
+	if !w.drainLocked(st) {
 		st.mu.Unlock()
 		return fmt.Errorf("worker %s: shard %d busy or gone", w.id, id)
 	}
-	w.drainLocked(st)
 	teardownReplLocked(st)
 	st.store = nil
 	st.roll = nil

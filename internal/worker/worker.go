@@ -3,8 +3,8 @@
 // query operations on them in parallel, publishes shard statistics to the
 // coordination service, and participates in load balancing — splitting
 // shards, serializing and migrating them to other workers — while
-// continuing to serve both inserts (via per-shard insertion queues) and
-// queries (shard plus queue are consulted) throughout.
+// continuing to serve both inserts (held in each shard's insertion
+// buffer) and queries (store plus buffer are consulted) throughout.
 package worker
 
 import (
@@ -28,23 +28,23 @@ import (
 )
 
 // shardState is one hosted shard. The store itself is internally
-// concurrent; the state's lock guards the queue/forward transitions made
+// concurrent; the state's lock guards the moving/forward transitions made
 // by load-balancing operations (§III-E mapping table) and the moves of
 // buffered items into the store (see ingest.go).
 type shardState struct {
 	mu      sync.RWMutex
 	store   core.Store
-	queue   core.Store // non-nil while a split or migration is in progress
-	forward string     // destination worker address after migration
+	moving  bool   // a split or migration is in progress; drains pause
+	forward string // destination worker address after migration
 
-	buf *ingestBuf // insertion buffer; non-nil when the ingest pipeline is on
+	buf *ingestBuf // insertion buffer
 
 	repl *replShip // follower links when this worker is the shard's primary
 
 	// roll holds the shard's materialized rollup tables (nil when none
 	// are configured). The tables mirror the store exactly: every batch
 	// applied to the store is folded into them under the same shard-lock
-	// hold, and rollup reads merge queue + buffer on top, so a rollup
+	// hold, and rollup reads merge the buffer on top, so a rollup
 	// answer equals a raw scan under any read-lock observation.
 	roll *rollup.Set
 
@@ -56,24 +56,22 @@ type shardState struct {
 	rollCells *metrics.Gauge
 }
 
-// Options tunes a worker's ingest pipeline. The zero value reproduces
-// the paper's synchronous single-threaded-per-request behavior exactly.
+// Options tunes a worker's ingest pipeline.
 type Options struct {
-	// IngestWorkers is the size of the background drain pool of the
-	// asynchronous ingest pipeline. 0 (the default) disables the
-	// pipeline: inserts apply inline on the RPC goroutine before the
-	// ack, byte-for-byte today's semantics.
+	// IngestWorkers is the size of the background drain pool that
+	// applies buffered inserts to the shard stores. 0 means 2.
 	IngestWorkers int
 	// MaxPendingItems bounds each shard's insertion buffer; an insert
-	// that would overflow it blocks until a drain frees room
-	// (backpressure). 0 means DefaultMaxPendingItems.
+	// that would overflow it blocks until a drain, or the end of a split
+	// or migration, frees room (backpressure). 0 means
+	// DefaultMaxPendingItems.
 	MaxPendingItems int
 }
 
 // withDefaults resolves zero fields.
 func (o Options) withDefaults() Options {
-	if o.IngestWorkers < 0 {
-		o.IngestWorkers = 0
+	if o.IngestWorkers <= 0 {
+		o.IngestWorkers = defaultIngestWorkers
 	}
 	if o.MaxPendingItems <= 0 {
 		o.MaxPendingItems = DefaultMaxPendingItems
@@ -105,7 +103,7 @@ type Worker struct {
 	stopCkpt chan struct{}
 	ckptWg   sync.WaitGroup
 
-	// ingest pipeline drain pool (see ingest.go); nil channels when off
+	// ingest pipeline drain pool (see ingest.go)
 	ingestCh   chan *shardState
 	stopIngest chan struct{}
 	ingestWg   sync.WaitGroup
@@ -160,8 +158,7 @@ func IsStaleRouteMsg(msg string) bool {
 	return strings.Contains(msg, MovedPrefix) || strings.Contains(msg, unknownShardFrag)
 }
 
-// New builds a worker (not yet listening) with default options: the
-// synchronous ingest path.
+// New builds a worker (not yet listening) with default options.
 func New(id string, cfg *image.ClusterConfig) *Worker {
 	return NewWithOptions(id, cfg, Options{})
 }
@@ -190,34 +187,28 @@ func NewWithOptions(id string, cfg *image.ClusterConfig, opts Options) *Worker {
 		replicaLag:  reg.Gauge("replica_lag_records", "shard"),
 		rollupHits:  reg.Counter("rollup_hits_total").With(),
 		rollupCells: reg.Gauge("rollup_cells", "shard"),
+		ingestCh:    make(chan *shardState, 256),
+		stopIngest:  make(chan struct{}),
 	}
-	if opts.IngestWorkers > 0 {
-		w.ingestCh = make(chan *shardState, 256)
-		w.stopIngest = make(chan struct{})
-		w.ingestWg.Add(opts.IngestWorkers)
-		for i := 0; i < opts.IngestWorkers; i++ {
-			go w.ingestLoop()
-		}
+	w.ingestWg.Add(opts.IngestWorkers)
+	for i := 0; i < opts.IngestWorkers; i++ {
+		go w.ingestLoop()
 	}
 	return w
 }
 
 // newShardState builds the state for one hosted shard, resolving its
-// metric handles once and attaching an insertion buffer when the ingest
-// pipeline is enabled.
+// metric handles once.
 func (w *Worker) newShardState(id image.ShardID) *shardState {
 	lbl := shardLabel(id)
-	st := &shardState{
+	return &shardState{
+		buf:       newIngestBuf(w.opts.MaxPendingItems),
 		insertLat: w.insertLat.With(lbl),
 		queryLat:  w.queryLat.With(lbl),
 		items:     w.shardItems.With(lbl),
 		rollCells: w.rollupCells.With(lbl),
 		roll:      rollup.NewSet(w.cfg.Schema, w.cfg.Rollups),
 	}
-	if w.opts.IngestWorkers > 0 {
-		st.buf = newIngestBuf(w.opts.MaxPendingItems)
-	}
-	return st
 }
 
 // ID returns the worker's identifier.
@@ -344,18 +335,11 @@ func (st *shardState) setGauges() {
 	st.rollCells.Set(cells)
 }
 
-// shardItemsLocked counts a shard's items across store, queue and
-// insertion buffer. The caller holds the shard's (read) lock and has
-// checked store != nil.
+// shardItemsLocked counts a shard's items across store and insertion
+// buffer. The caller holds the shard's (read) lock and has checked
+// store != nil.
 func shardItemsLocked(st *shardState) uint64 {
-	n := st.store.Count()
-	if st.queue != nil {
-		n += st.queue.Count()
-	}
-	if st.buf != nil {
-		n += uint64(st.buf.len())
-	}
-	return n
+	return st.store.Count() + uint64(st.buf.len())
 }
 
 // ShardCount returns the item count of one shard (0 if absent).
@@ -368,17 +352,10 @@ func (w *Worker) ShardCount(id image.ShardID) uint64 {
 	}
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	var n uint64
-	if st.store != nil {
-		n += st.store.Count()
+	if st.store == nil {
+		return 0
 	}
-	if st.queue != nil {
-		n += st.queue.Count()
-	}
-	if st.buf != nil {
-		n += uint64(st.buf.len())
-	}
-	return n
+	return shardItemsLocked(st)
 }
 
 // Close stops the worker gracefully, flushing and fsyncing any attached
@@ -408,15 +385,12 @@ func (w *Worker) shutdown(crash bool) {
 		if w.srv != nil {
 			w.srv.Close()
 		}
-		if w.stopIngest != nil {
-			close(w.stopIngest)
-			w.ingestWg.Wait()
-			if !crash {
-				// Graceful close: apply every acknowledged item. A crash
-				// skips this — buffered items survive only through the
-				// WAL, exactly like the old in-flight applies.
-				w.Flush()
-			}
+		close(w.stopIngest)
+		w.ingestWg.Wait()
+		if !crash {
+			// Graceful close: apply every acknowledged item. A crash skips
+			// this — buffered items survive only through the WAL.
+			w.Flush()
 		}
 		w.peerMu.Lock()
 		for _, c := range w.peers {
@@ -677,70 +651,11 @@ func (w *Worker) handleInsert(ctx context.Context, p []byte) ([]byte, error) {
 	return nil, w.Insert(ctx, id, items)
 }
 
-// Insert applies items to a shard: through the asynchronous ingest
-// pipeline when it is enabled (ack after buffer append + WAL append),
-// otherwise inline on the calling goroutine; diverting to the insertion
-// queue during load-balancing operations and forwarding (with the
-// caller's trace context) after a migration.
+// Insert acknowledges items into a shard's insertion buffer once they are
+// appended to it and to the WAL, or forwards them (with the caller's trace
+// context) after a migration; see ingest.
 func (w *Worker) Insert(ctx context.Context, id image.ShardID, items []core.Item) error {
-	w.traceAdd(ctx, "worker.insert", "shard "+shardLabel(id))
-	st := w.shard(id)
-	if st == nil {
-		return fmt.Errorf("worker %s: unknown shard %d", w.id, id)
-	}
-	defer st.insertLat.Time()()
-	if st.buf != nil {
-		if handled, err := w.insertBuffered(ctx, st, id, items); handled {
-			return err
-		}
-		// Queue active, forwarded, or gone: fall through to the
-		// synchronous paths, which handle those states.
-	}
-	st.mu.RLock()
-	switch {
-	case st.queue != nil:
-		q := st.queue
-		defer st.mu.RUnlock()
-		if err := q.BulkLoad(items); err != nil {
-			return err
-		}
-		// Queued items are logged against the original shard: a split
-		// re-snapshots both halves afterwards, and a migration ships them
-		// before releasing, so replay stays consistent either way.
-		return w.appendInsert(id, items)
-	case st.store != nil:
-		s := st.store
-		defer st.mu.RUnlock()
-		// Validate-then-bulk-apply: BulkLoad rejects the whole batch
-		// before touching the store and, in Hilbert mode, applies it in
-		// curve order (every store implements it natively).
-		if err := s.BulkLoad(items); err != nil {
-			return err
-		}
-		st.roll.Add(items)
-		st.setGauges()
-		if err := w.appendInsert(id, items); err != nil {
-			return err
-		}
-		// Replicate under the same read-lock hold as apply + WAL append,
-		// before the ack: see replica.go for the contract.
-		w.shipToReplicas(ctx, st, id, items)
-		return nil
-	case st.forward != "":
-		dest := st.forward
-		st.mu.RUnlock()
-		peer, err := w.peer(dest)
-		if err != nil {
-			return errors.New(MovedPrefix + dest)
-		}
-		w.forwards.Inc()
-		w.traceAdd(ctx, "worker.insert.forward", dest)
-		_, err = peer.RequestCtx(ctx, "worker.insert", EncodeInsertRequest(id, w.cfg.Schema.NumDims(), items))
-		return forwardErr(err, dest)
-	default:
-		st.mu.RUnlock()
-		return fmt.Errorf("worker %s: shard %d unavailable", w.id, id)
-	}
+	return w.ingest(ctx, "worker.insert", id, items)
 }
 
 func (w *Worker) handleBulkLoad(ctx context.Context, p []byte) ([]byte, error) {
@@ -750,33 +665,7 @@ func (w *Worker) handleBulkLoad(ctx context.Context, p []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	w.traceAdd(ctx, "worker.bulkload", "shard "+shardLabel(id))
-	st := w.shard(id)
-	if st == nil {
-		return nil, fmt.Errorf("worker %s: unknown shard %d", w.id, id)
-	}
-	defer st.insertLat.Time()()
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	if st.queue != nil {
-		if err := st.queue.BulkLoad(items); err != nil {
-			return nil, err
-		}
-		return nil, w.appendInsert(id, items)
-	}
-	if st.store == nil {
-		return nil, fmt.Errorf("worker %s: shard %d unavailable", w.id, id)
-	}
-	if err := st.store.BulkLoad(items); err != nil {
-		return nil, err
-	}
-	st.roll.Add(items)
-	st.setGauges()
-	if err := w.appendInsert(id, items); err != nil {
-		return nil, err
-	}
-	w.shipToReplicas(ctx, st, id, items)
-	return nil, nil
+	return nil, w.ingest(ctx, "worker.bulkload", id, items)
 }
 
 func (w *Worker) handleQuery(ctx context.Context, p []byte) ([]byte, error) {
@@ -845,7 +734,7 @@ func mergeShardAnswer(rep *QueryReply, ans shardAnswer) {
 	}
 }
 
-// QueryShard aggregates one shard (including its insertion queue, so
+// QueryShard aggregates one shard (including its insertion buffer, so
 // "query processing is not interrupted while a split is in progress",
 // §III-E). Forwards (propagating the trace context) if the shard
 // migrated away. The boolean reports whether the shard contributed
@@ -857,11 +746,10 @@ func (w *Worker) QueryShard(ctx context.Context, id image.ShardID, q keys.Rect) 
 }
 
 // queryOneShard answers one shard with an optional rollup definition
-// index. When the
-// definition's grid covers q and the shard holds its table, the answer
-// is the covering cells merged with the insertion buffer and the
-// split/migration queue — exactly what the tree path reads, at cell
-// granularity instead of item granularity.
+// index. When the definition's grid covers q and the shard holds its
+// table, the answer is the covering cells merged with the insertion
+// buffer — exactly what the tree path reads, at cell granularity instead
+// of item granularity.
 func (w *Worker) queryOneShard(ctx context.Context, id image.ShardID, q keys.Rect, defIdx int) (shardAnswer, error) {
 	st := w.shard(id)
 	if st == nil {
@@ -869,7 +757,7 @@ func (w *Worker) queryOneShard(ctx context.Context, id image.ShardID, q keys.Rec
 	}
 	defer st.queryLat.Time()()
 	st.mu.RLock()
-	store, queue, forward := st.store, st.queue, st.forward
+	store, forward := st.store, st.forward
 	if store == nil && forward != "" {
 		st.mu.RUnlock()
 		peer, err := w.peer(forward)
@@ -890,9 +778,9 @@ func (w *Worker) queryOneShard(ctx context.Context, id image.ShardID, q keys.Rec
 		st.mu.RUnlock()
 		return shardAnswer{agg: core.NewAggregate()}, nil
 	}
-	// Hold the read lock so the queue and insertion buffer cannot be
-	// drained-and-destroyed between querying the store and them (no
-	// double or zero count: drain moves happen under the write lock).
+	// Hold the read lock so no drain can move buffered items between
+	// querying the store and the buffer (no double or zero count: drain
+	// moves happen under the write lock).
 	defer st.mu.RUnlock()
 	var agg core.Aggregate
 	hit := false
@@ -904,12 +792,7 @@ func (w *Worker) queryOneShard(ctx context.Context, id image.ShardID, q keys.Rec
 	} else {
 		agg = store.Query(q)
 	}
-	if queue != nil {
-		agg.Merge(queue.Query(q))
-	}
-	if st.buf != nil {
-		agg.Merge(st.buf.query(q))
-	}
+	agg.Merge(st.buf.query(q))
 	return shardAnswer{agg: agg, ok: true, hit: hit, cells: uint64(cells)}, nil
 }
 

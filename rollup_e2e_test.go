@@ -53,7 +53,6 @@ func TestRollupEquivalence(t *testing.T) {
 		randRollupDef(rng, opts.Schema),
 		randRollupDef(rng, opts.Schema),
 	}
-	opts.IngestWorkers = 2   // rollup maintenance rides the drain pipeline
 	opts.MaxShardItems = 400 // balance passes split oversized shards
 	opts.MinMoveItems = 64
 	c, err := Start(opts)
@@ -150,8 +149,8 @@ func TestRollupEquivalence(t *testing.T) {
 			// Mid-churn answers may transiently undercount (a freshly
 			// split shard is invisible until the next image sync — the
 			// seed's convergence contract), but no item may ever be
-			// counted twice: rollup cells, tree, migration queue, and
-			// insertion buffer partition the data at every instant.
+			// counted twice: rollup cells (or tree) and insertion buffer
+			// partition the data at every instant.
 			if after := issued.Load(); res.Agg.Count > after {
 				t.Fatalf("count %d exceeds %d issued items; info=%+v", res.Agg.Count, after, res.Info)
 			}
@@ -308,7 +307,6 @@ func metricSum(t *testing.T, out, name string) float64 {
 func TestRollupStaleness(t *testing.T) {
 	opts := testOptions(t)
 	opts.Rollups = []RollupDef{mustRollup(t, opts.Schema, "all"), mustRollup(t, opts.Schema, "A:1")}
-	opts.IngestWorkers = 1
 	// No stats tick during the test: the gauges must be set by the
 	// drain itself.
 	opts.StatsInterval = time.Hour

@@ -276,15 +276,13 @@ type Options struct {
 	// sides) for chaos testing. Production deployments leave it nil.
 	Fault *FaultInjector
 
-	// IngestWorkers sizes each worker's background drain pool for the
-	// asynchronous insertion pipeline (§III-E). 0 (the default) keeps
-	// inserts synchronous — applied inline on the RPC goroutine, today's
-	// behavior byte for byte. With n > 0, inserts acknowledge after
-	// buffer + WAL append and n goroutines apply buffered batches.
+	// IngestWorkers sizes each worker's background drain pool (§III-E):
+	// inserts acknowledge after buffer + WAL append, and the pool applies
+	// buffered batches to the shard stores. 0 (the default) means 2.
 	IngestWorkers int
-	// MaxPendingItems bounds each shard's insertion buffer; inserts
-	// beyond it block (backpressure). 0 = worker default (64Ki items).
-	// Only meaningful with IngestWorkers > 0.
+	// MaxPendingItems bounds each shard's insertion buffer, also while
+	// the shard is split or migrated; inserts beyond it block
+	// (backpressure). 0 = worker default (64Ki items).
 	MaxPendingItems int
 
 	// Durability selects the worker persistence contract (default off —
